@@ -71,6 +71,15 @@ class FaultPlan:
     def faulty(self) -> frozenset:
         return frozenset(v for v, _ in self.behaviors)
 
+    @property
+    def inert(self) -> frozenset:
+        """Faulty nodes whose behavior never emits a message.  Nothing they
+        receive can affect the run, so the simulator need not process it."""
+        return frozenset(
+            v for v, b in self.behaviors
+            if isinstance(b, Silent)
+            or (isinstance(b, Crash) and b.after <= 0))
+
     def behavior_of(self, v: int):
         for node, b in self.behaviors:
             if node == v:

@@ -253,6 +253,7 @@ def cmd_run(args) -> int:
 
 def cmd_sweep(args) -> int:
     config = _load_config(args)
+    config.trace = None  # a sweep writes metrics only; build no trace
     budgets = _budgets(args)
     base = config.out or "sweep"
     worst = 0

@@ -197,7 +197,9 @@ class Node:
         return moved
 
     def _wake_all(self):
-        for rstate in self.rounds.values():
+        # A sweep can advance and start the next round; that round sweeps
+        # itself in start_round, so iterate over a snapshot.
+        for rstate in list(self.rounds.values()):
             if not rstate.nextround:
                 rstate.dirty.update(range(len(rstate.threads)))
                 self._sweep(rstate)
@@ -522,7 +524,7 @@ class Node:
         if rstate.r + 1 >= self.world.r_out:
             self.done = True
             self.output = xn
-            self.world.note_done()
+            self.world.note_done(self.me)
         else:
             self.start_round(rstate.r + 1)
 

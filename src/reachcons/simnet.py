@@ -1,10 +1,14 @@
 """Deterministic discrete-event network simulator.
 
 Logical time is an integer clock; every send is scheduled with a policy-drawn
-positive delay and delivered in (time, sequence) order, which makes runs
-bit-for-bit reproducible from (graph, inputs, plan, policy).  Links are
+positive delay into the FIFO bucket of its delivery time, and buckets are
+drained in time order, so events arrive in (time, send order) order and runs
+are bit-for-bit reproducible from (graph, inputs, plan, policy).  Links are
 reliable but unordered; ordering guarantees come only from the protocol's
 own counters.
+
+Faulty nodes whose behaviour can never emit (`FaultPlan.inert`) are not
+simulated: deliveries to them are counted and traced, then discarded.
 """
 
 from __future__ import annotations
@@ -132,8 +136,11 @@ class SimWorld:
         self._delay = delay.delay
         self.budgets = budgets
         self.time = 0
-        self.seq = 0
-        self.heap: list = []
+        # deliver time -> [(sender, dest, wire, sent_at)] in send order, and
+        # a heap of the distinct deliver times.
+        self.buckets: dict = {}
+        self.times: list = []
+        self.inert = plan.inert
         self.deliveries = 0
         self.pending_honest = 0
         self.trace: Optional[list] = [] if collect_trace else None
@@ -156,22 +163,23 @@ class SimWorld:
             cached = self._cover_cands[universe_mask] = tuple(out)
         return cached
 
-    def note_done(self):
-        self.pending_honest -= 1
+    def note_done(self, v: int):
+        if v not in self._faulty:
+            self.pending_honest -= 1
 
     def send(self, sender: int, dest: int, wire: tuple):
-        # Heap keys pack (deliver_at, seq) into one int for cheap compares.
-        if sender in self._faulty:
-            for m in self.plan_rt.intercept(sender, dest, wire,
-                                            self.nodes[sender]):
-                self.seq += 1
-                key = (self.time + self._delay(sender, dest)) << 32 | self.seq
-                heapq.heappush(self.heap,
-                               (key, sender, dest, m, self.time))
-            return
-        self.seq += 1
-        key = (self.time + self._delay(sender, dest)) << 32 | self.seq
-        heapq.heappush(self.heap, (key, sender, dest, wire, self.time))
+        # Appending to the bucket of the delivery time keeps send order
+        # within a time; the heap holds each distinct time once.
+        now = self.time
+        for m in (self.plan_rt.intercept(sender, dest, wire,
+                                         self.nodes[sender])
+                  if sender in self._faulty else (wire,)):
+            t = now + self._delay(sender, dest)
+            bucket = self.buckets.get(t)
+            if bucket is None:
+                bucket = self.buckets[t] = []
+                heapq.heappush(self.times, t)
+            bucket.append((sender, dest, m, now))
 
     def send_flood(self, sender: int, dests, wire: tuple):
         """Send one wire message to several destinations."""
@@ -179,35 +187,46 @@ class SimWorld:
             for dest in dests:
                 self.send(sender, dest, wire)
             return
-        t = self.time
-        seq = self.seq
-        heap = self.heap
+        now = self.time
+        buckets = self.buckets
         delay = self._delay
-        push = heapq.heappush
         for dest in dests:
-            seq += 1
-            push(heap, ((t + delay(sender, dest)) << 32 | seq,
-                        sender, dest, wire, t))
-        self.seq = seq
+            t = now + delay(sender, dest)
+            bucket = buckets.get(t)
+            if bucket is None:
+                bucket = buckets[t] = []
+                heapq.heappush(self.times, t)
+            bucket.append((sender, dest, wire, now))
 
     def run_loop(self, budget: int):
-        nodes = self.nodes
-        heap = self.heap
+        # Deliveries to inert nodes are counted and traced, not handled.
+        handlers = [None if v in self.inert else node.on_deliver
+                    for v, node in enumerate(self.nodes)]
+        buckets = self.buckets
+        times = self.times
         pop = heapq.heappop
         delivered = 0
         trace = self.trace
-        while heap and self.pending_honest > 0:
-            key, sender, dest, m, sent_at = pop(heap)
-            self.time = t = key >> 32
-            delivered += 1
-            if delivered > budget:
-                self.deliveries = delivered
-                raise BudgetError(
-                    f"delivery budget of {budget} exceeded; the flood on "
-                    f"this graph is too large for explicit simulation")
-            if trace is not None:
-                trace.append(self._trace_record(sender, dest, m, sent_at, t))
-            nodes[dest].on_deliver(sender, m)
+        while times:
+            self.time = t = pop(times)
+            # A send to time t while this bucket drains would open a fresh
+            # bucket for t, popped next: the order stays exact.
+            for sender, dest, m, sent_at in buckets.pop(t):
+                if self.pending_honest <= 0:
+                    self.deliveries = delivered
+                    return
+                delivered += 1
+                if delivered > budget:
+                    self.deliveries = delivered
+                    raise BudgetError(
+                        f"delivery budget of {budget} exceeded; the flood on "
+                        f"this graph is too large for explicit simulation")
+                if trace is not None:
+                    trace.append(
+                        self._trace_record(sender, dest, m, sent_at, t))
+                handler = handlers[dest]
+                if handler is not None:
+                    handler(sender, m)
         self.deliveries = delivered
 
     @staticmethod
@@ -265,18 +284,24 @@ def run(g: DiGraph, inputs: list, f: int, plan: FaultPlan, delay,
         metrics.three_reach = check_k_reach(g, f, 3).holds
 
     world = SimWorld(g, f, r_out, plan, delay, budgets, collect_trace)
-    world.nodes = [Node(world, v, float(inputs[v])) for v in range(g.n)]
     world.pending_honest = len(metrics.honest)
-    for v in range(g.n):
-        world.nodes[v].start_round(0)
-    world.run_loop(budgets.max_deliveries)
+    nodes = world.nodes = [Node(world, v, float(inputs[v]))
+                           for v in range(g.n)]
+    try:
+        for v in range(g.n):
+            if v not in world.inert:
+                nodes[v].start_round(0)
+        world.run_loop(budgets.max_deliveries)
+    finally:
+        # Break the node <-> world cycle, so a finished run is freed by
+        # reference counting instead of waiting for a full collection.
+        world.nodes = None
 
     metrics.deliveries = world.deliveries
     metrics.stalled = world.pending_honest > 0
     honest = metrics.honest
     for r in range(r_out + 1):
-        xs = [world.nodes[v].x[r] for v in honest
-              if len(world.nodes[v].x) > r]
+        xs = [nodes[v].x[r] for v in honest if len(nodes[v].x) > r]
         if len(xs) == len(honest):
             metrics.U.append(max(xs))
             metrics.mu.append(min(xs))
@@ -284,7 +309,7 @@ def run(g: DiGraph, inputs: list, f: int, plan: FaultPlan, delay,
             metrics.U.append(None)
             metrics.mu.append(None)
     for v in honest:
-        node = world.nodes[v]
+        node = nodes[v]
         metrics.outputs[v] = node.output
         for r, rstate in node.rounds.items():
             if rstate.fa_record is not None:

@@ -6,7 +6,7 @@ from itertools import permutations
 
 import pytest
 
-from reachcons import DiGraph, InvalidArgumentError, format_edge_list
+from reachcons import DiGraph, InvalidArgumentError, format_edge_list, simnet
 from reachcons.cli import ScenarioConfig, main, metrics_csv
 
 
@@ -143,6 +143,29 @@ def test_sweep_writes_per_seed_files(tmp_path, capsys):
     for seed in (1, 2, 3):
         assert (tmp_path / f"sw-{seed}.csv").exists()
     assert capsys.readouterr().out.count("ok") == 3
+
+
+def test_sweep_builds_no_trace(tmp_path, monkeypatch):
+    traced = []
+    real_run = simnet.run
+
+    def spy(*args, **kwargs):
+        traced.append(kwargs.get("collect_trace", False))
+        return real_run(*args, **kwargs)
+
+    monkeypatch.setattr(simnet, "run", spy)
+    base = tmp_path / "sw"
+    trace = tmp_path / "t.jsonl"
+    cfg = ScenarioConfig(graph="builtin:k4", f=1,
+                         inputs=[0.0, 1.0, 1.0, 0.0], out=str(base),
+                         trace=str(trace))
+    cpath = tmp_path / "scenario.json"
+    cpath.write_text(cfg.to_json())
+    assert main(["sweep", str(cpath), "--seeds", "1", "2"]) == 0
+    for seed in (1, 2):
+        assert (tmp_path / f"sw-{seed}.csv").exists()
+    assert not trace.exists()
+    assert traced == [False, False]
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Simulator: delay policies, budgets, metrics, determinism, invariants."""
 
+import gc
 from itertools import permutations
 
 import pytest
@@ -8,7 +9,8 @@ from reachcons import (BudgetError, Budgets, DiGraph, InvalidArgumentError,
                        RoundSkewDelay, TargetedSlowDelay, UniformDelay,
                        assert_round_invariants, builtin_plans, make_plan,
                        run)
-from reachcons.adversary import Crash
+from reachcons.adversary import Crash, TamperForward
+from reachcons.protocol import Node
 from reachcons.simnet import rounds_to_output, thread_count
 
 
@@ -161,6 +163,37 @@ def test_trace_collection():
         assert rec["path"][-1] == rec["sender"]
 
 
+def test_inert_receivers_are_counted_and_traced():
+    plan = builtin_plans(K4, 1)["crash-min"]
+    assert plan.inert == frozenset({3})
+    metrics = run(K4, INPUTS4, 1, plan, UniformDelay(seed=1), 1.0, 0.25,
+                  collect_trace=True)
+    assert len(metrics.trace) == metrics.deliveries
+    assert any(rec["receiver"] == 3 for rec in metrics.trace)
+    assert not any(rec["sender"] == 3 for rec in metrics.trace)
+    assert assert_round_invariants(metrics).ok
+
+
+def _live_nodes() -> int:
+    return sum(isinstance(o, Node) for o in gc.get_objects())
+
+
+def test_finished_run_is_freed_by_reference_counting():
+    gc.collect()
+    gc.disable()
+    try:
+        run(K4, INPUTS4, 1, make_plan("none", {}), UniformDelay(seed=1),
+            1.0, 0.25)
+        after_return = _live_nodes()
+        with pytest.raises(BudgetError):
+            run(K4, INPUTS4, 1, make_plan("none", {}), UniformDelay(seed=1),
+                1.0, 0.25, budgets=Budgets(max_deliveries=50))
+        after_raise = _live_nodes()
+    finally:
+        gc.enable()
+    assert (after_return, after_raise) == (0, 0)
+
+
 def test_condition_check_can_be_skipped():
     metrics = run(K4, INPUTS4, 1, make_plan("none", {}),
                   UniformDelay(seed=1), 1.0, 0.25, check_condition=False)
@@ -177,3 +210,27 @@ def test_too_many_crashes_violate_invariants():
     report = assert_round_invariants(metrics)
     assert not report.ok
     assert metrics.stalled
+
+
+# ---------------------------------------------------------------------------
+# Regressions
+
+
+def test_round_started_while_waking_every_round():
+    # A FIFO frontier move wakes every round, and a sweep it triggers can
+    # advance and start the next round in the middle of the wake-up.
+    plan = builtin_plans(K4, 1)["forger"]
+    metrics = run(K4, [0, 1, 1, 0], 1, plan,
+                  UniformDelay(seed=3, lo=1, hi=7), 1.0, 0.25)
+    assert assert_round_invariants(metrics).ok
+
+
+def test_faulty_node_finishing_first_does_not_end_the_run():
+    # The relaying faulty node reaches r_out before node 2 does; the run
+    # ends only when every nonfaulty node has an output.
+    plan = make_plan("t", {3: TamperForward(0.0)})
+    metrics = run(K4, [0.75, 0.75, 0, 0.5], 1, plan,
+                  UniformDelay(seed=0, lo=1, hi=7), 1.0, 0.25)
+    assert not metrics.stalled
+    assert all(metrics.outputs[v] is not None for v in (0, 1, 2))
+    assert assert_round_invariants(metrics).ok
