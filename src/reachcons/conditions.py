@@ -3,31 +3,25 @@
 The k-reach family quantifies reach-set intersections over suspected fault
 sets; the CCS/CCA/BCS conditions quantify a point-to-point degree test over
 vertex partitions.  Both sides are decided by brute-force enumeration, and
-the audit cross-checks their equivalence on small graphs.
+the audit cross-checks their equivalence on small graphs.  The
+enumerations run on bitmasks: per-graph reach rows for k-reach, and a
+per-graph in-neighbourhood table for the partition forms.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from itertools import combinations, product
 from typing import Optional
 
 from . import generate
 from .errors import InvalidArgumentError
-from .graph import DiGraph, _reach_mask, mask_of, reach_set, set_of
+from .graph import (DiGraph, _reach_row, mask_of, reach_set, set_of,
+                    subset_masks)
 
 CCS = "ccs"
 CCA = "cca"
 BCS = "bcs"
-
-
-def subsets_upto(pool, limit: int):
-    """Subsets of the pool with size <= limit, ordered by (size, lex)."""
-    pool = sorted(pool)
-    for size in range(0, limit + 1):
-        for combo in combinations(pool, size):
-            yield frozenset(combo)
 
 
 @dataclass(frozen=True)
@@ -93,48 +87,49 @@ def check_k_reach(g: DiGraph, f: int, k: int) -> ConditionVerdict:
     if f < 0:
         raise InvalidArgumentError("f must be nonnegative")
     common_bound, private_bound = _kreach_bounds(k, f)
-    nodes = list(range(g.n))
-    for F in subsets_upto(nodes, common_bound):
-        fmask = mask_of(F)
-        # Fast path: collect the distinct reach masks over all admissible
-        # (node, private set) combinations; the predicate holds for this F
-        # iff they pairwise intersect.
+    n = g.n
+
+    def meet_pairwise(masks) -> bool:
+        # Only inclusion-minimal masks are compared: if they meet pairwise,
+        # so do their supersets.
+        minimal = []
+        for m in sorted(masks, key=int.bit_count):
+            for low in minimal:
+                if not low & m:
+                    return False
+                if not low & ~m:
+                    break  # m contains low, so m is not minimal
+            else:
+                minimal.append(m)
+        return True
+
+    private = subset_masks(n, private_bound)
+    for fmask in subset_masks(n, common_bound):
+        # Fast path: F passes iff the reach masks of all admissible (node,
+        # private set) pairs meet pairwise.  Reach shrinks as the avoided
+        # set grows, so every minimal mask comes from a private set of q
+        # nodes outside F, the most that still leave a node out.
+        q = min(private_bound, (g.full_mask & ~fmask).bit_count() - 1)
         masks = set()
-        for v in nodes:
-            if fmask >> v & 1:
-                continue
-            for Fp in subsets_upto(nodes, private_bound):
-                avoid = fmask | mask_of(Fp)
-                if avoid >> v & 1:
-                    continue
-                masks.add(_reach_mask(g, v, avoid))
-        ok = True
-        mlist = sorted(masks)
-        for i, m1 in enumerate(mlist):
-            for m2 in mlist[i:]:
-                if not m1 & m2:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
+        for pmask in private:
+            if not pmask & fmask and pmask.bit_count() == q:
+                masks.update(_reach_row(g, fmask | pmask))
+        masks.discard(0)  # the row entries of avoided nodes
+        if meet_pairwise(masks):
             continue
         # Slow path, only on failure: first witness in enumeration order.
-        for F_v in subsets_upto(nodes, private_bound):
-            av = fmask | mask_of(F_v)
-            for F_u in subsets_upto(nodes, private_bound):
-                au = fmask | mask_of(F_u)
-                for v in nodes:
-                    if av >> v & 1:
+        cands = [(pmask, _reach_row(g, fmask | pmask)) for pmask in private]
+        for fv, row_v in cands:
+            for fu, row_u in cands:
+                for v, rv in enumerate(row_v):
+                    if not rv:
                         continue
-                    rv = _reach_mask(g, v, av)
-                    for u in nodes:
-                        if au >> u & 1:
-                            continue
-                        if not rv & _reach_mask(g, u, au):
+                    for u, ru in enumerate(row_u):
+                        if ru and not rv & ru:
                             return ConditionVerdict(
                                 False,
-                                ReachViolation(k, F, F_v, F_u, v, u))
+                                ReachViolation(k, set_of(fmask), set_of(fv),
+                                               set_of(fu), v, u))
         raise AssertionError("mask scan found a violation the ordered "
                              "scan did not")
     return ConditionVerdict(True)
@@ -143,17 +138,10 @@ def check_k_reach(g: DiGraph, f: int, k: int) -> ConditionVerdict:
 def _point(g: DiGraph, A, B, x: int) -> bool:
     amask = A if isinstance(A, int) else mask_of(A)
     bmask = B if isinstance(B, int) else mask_of(B)
-    count = 0
-    u = 0
-    rest = amask
-    while rest:
-        if rest & 1 and g.out_masks[u] & bmask:
-            count += 1
-            if count >= x:
-                return True
-        rest >>= 1
-        u += 1
-    return count >= x
+    into = 0
+    for w in set_of(bmask):
+        into |= g.in_masks[w]
+    return (amask & into).bit_count() >= x
 
 
 def check_point(g: DiGraph, A: frozenset, B: frozenset, x: int) -> bool:
@@ -182,30 +170,48 @@ def check_partition_condition(g: DiGraph, f: int,
     if which not in (CCS, CCA, BCS):
         raise InvalidArgumentError(f"unknown condition {which!r}")
     t = 1 if which == CCS else f + 1
-    nodes = list(range(g.n))
-    fault_sets = (subsets_upto(nodes, f) if which in (CCS, BCS)
-                  else [frozenset()])
-    for F in fault_sets:
-        rest = [v for v in nodes if v not in F]
-        for labels in product("LCR", repeat=len(rest)):
-            lmask = cmask = rmask = 0
-            for v, lab in zip(rest, labels):
-                if lab == "L":
-                    lmask |= 1 << v
-                elif lab == "C":
-                    cmask |= 1 << v
-                else:
-                    rmask |= 1 << v
-            if not lmask or not rmask:
-                continue
-            if _point(g, lmask | cmask, rmask, t):
-                continue
-            if _point(g, rmask | cmask, lmask, t):
-                continue
-            return ConditionVerdict(
-                False,
-                PartitionViolation(which, t, F, set_of(lmask),
-                                   set_of(cmask), set_of(rmask)))
+    # into[B]: the nodes with an edge into B, for every B, so that
+    # point(A -> B, t) is one popcount of A & into[B].
+    into = g._memo.get("into")
+    if into is None:
+        into = [0]
+        for m in g.in_masks:
+            into += [x | m for x in into]
+        g._memo["into"] = into
+
+    def labelings(nodes) -> list:
+        """(L mask, R mask) of every labeling, in product("LCR") order."""
+        out = [(0, 0)]
+        for v in nodes:
+            b = 1 << v
+            out = [x for lm, rm in out
+                   for x in ((lm | b, rm), (lm, rm), (lm, rm | b))]
+        return out
+
+    fault_sets = subset_masks(g.n, f) if which in (CCS, BCS) else (0,)
+    for fmask in fault_sets:
+        rest = g.full_mask & ~fmask
+        nodes = [v for v in range(g.n) if rest >> v & 1]
+        # Split the labelings into a head and a tail half, so only
+        # O(3^(n/2)) of them are ever held at once.
+        half = len(nodes) // 2
+        tail = labelings(nodes[half:])
+        for lh, rh in labelings(nodes[:half]):
+            for lt, rt in tail:
+                lmask = lh | lt
+                rmask = rh | rt
+                if not lmask or not rmask:
+                    continue
+                if (rest & ~rmask & into[rmask]).bit_count() >= t:
+                    continue
+                if (rest & ~lmask & into[lmask]).bit_count() >= t:
+                    continue
+                return ConditionVerdict(
+                    False,
+                    PartitionViolation(which, t, set_of(fmask),
+                                       set_of(lmask),
+                                       set_of(rest & ~lmask & ~rmask),
+                                       set_of(rmask)))
     return ConditionVerdict(True)
 
 

@@ -7,6 +7,7 @@ routines work on bitmasks (bit i set means node i is a member).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Optional
 
@@ -36,6 +37,14 @@ def set_of(mask: int) -> frozenset:
         mask >>= 1
         v += 1
     return frozenset(out)
+
+
+@lru_cache(maxsize=32)
+def subset_masks(n: int, limit: int) -> tuple:
+    """Masks of the subsets of range(n) with at most limit members, ordered
+    by (size, lex): the order of combinations(range(n), size) by size."""
+    return tuple(mask_of(combo) for size in range(min(limit, n) + 1)
+                 for combo in combinations(range(n), size))
 
 
 @dataclass(frozen=True)
@@ -121,27 +130,38 @@ def format_edge_list(g: DiGraph) -> str:
 # Reach sets
 
 
-def _reach_mask(g: DiGraph, v: int, avoid_mask: int) -> int:
-    """Bitmask of nodes outside avoid_mask with a path to v avoiding it."""
-    key = ("reach", v, avoid_mask)
+def _reach_row(g: DiGraph, avoid_mask: int) -> tuple:
+    """Reach mask of every node in the subgraph avoiding avoid_mask, and 0
+    for the nodes inside it; memoised per graph."""
+    key = ("reach", avoid_mask)
     memo = g._memo
-    cached = memo.get(key)
-    if cached is not None:
-        return cached
-    cur = 1 << v
-    out_masks = g.out_masks
-    changed = True
-    while changed:
-        changed = False
-        for u in range(g.n):
-            bit = 1 << u
-            if cur & bit or avoid_mask & bit:
+    row = memo.get(key)
+    if row is None:
+        in_masks = g.in_masks
+        out = []
+        for v in range(g.n):
+            if avoid_mask >> v & 1:
+                out.append(0)
                 continue
-            if out_masks[u] & cur:
-                cur |= bit
-                changed = True
-    memo[key] = cur
-    return cur
+            # Backward BFS from v over in-neighbourhoods, a level at a time.
+            cur = frontier = 1 << v
+            while frontier:
+                pred = 0
+                while frontier:
+                    low = frontier & -frontier
+                    pred |= in_masks[low.bit_length() - 1]
+                    frontier ^= low
+                frontier = pred & ~(cur | avoid_mask)
+                cur |= frontier
+            out.append(cur)
+        row = memo[key] = tuple(out)
+    return row
+
+
+def _reach_mask(g: DiGraph, v: int, avoid_mask: int) -> int:
+    """Bitmask of nodes outside avoid_mask with a path to v avoiding it;
+    v must lie outside avoid_mask."""
+    return _reach_row(g, avoid_mask)[v]
 
 
 def reach_set(g: DiGraph, v: int, F: frozenset) -> frozenset:
@@ -288,37 +308,39 @@ def count_redundant_paths(g: DiGraph, excluded: frozenset | int) -> dict:
     if cached is not None:
         return cached
     allowed = [v for v in range(g.n) if not emask >> v & 1]
-    out_masks = g.out_masks
+    succ = {u: [(w, 1 << w) for w in allowed if g.out_masks[u] >> w & 1]
+            for u in allowed}
     totals = {v: 0 for v in allowed}
-    ph1 = {}
-    for s in allowed:
-        ph1[(s, 1 << s)] = 1
-        totals[s] += 1
+    # Phase 1, one simple-path length at a time: (last, m1) -> count.  A
+    # step onto a visited node opens the second segment; its seed state
+    # (w, {last, w}) is the same whatever the first segment's length, so
+    # all seeds are merged into one dict.
+    ph1 = {(s, 1 << s): 1 for s in allowed}
     ph2: dict = {}
-    while ph1 or ph2:
-        nxt1: dict = {}
-        nxt2: dict = {}
+    while ph1:
+        nxt: dict = {}
         for (last, m1), c in ph1.items():
-            succ = out_masks[last] & ~emask
-            for w in allowed:
-                bit = 1 << w
-                if not succ & bit:
-                    continue
+            totals[last] += c
+            lbit = 1 << last
+            for w, bit in succ[last]:
                 if m1 & bit:
-                    k = (w, (1 << last) | bit)
-                    nxt2[k] = nxt2.get(k, 0) + c
+                    k = (w, lbit | bit)
+                    ph2[k] = ph2.get(k, 0) + c
                 else:
                     k = (w, m1 | bit)
-                    nxt1[k] = nxt1.get(k, 0) + c
-                totals[w] += c
+                    nxt[k] = nxt.get(k, 0) + c
+        ph1 = nxt
+    # Phase 2, run once over (last, m2): every step adds one node to m2,
+    # so a level holds every state of its size before any is expanded.
+    while ph2:
+        nxt = {}
         for (last, m2), c in ph2.items():
-            succ = out_masks[last] & ~emask & ~m2
-            for w in allowed:
-                if succ >> w & 1:
-                    k = (w, m2 | (1 << w))
-                    nxt2[k] = nxt2.get(k, 0) + c
-                    totals[w] += c
-        ph1, ph2 = nxt1, nxt2
+            totals[last] += c
+            for w, bit in succ[last]:
+                if not m2 & bit:
+                    k = (w, m2 | bit)
+                    nxt[k] = nxt.get(k, 0) + c
+        ph2 = nxt
     memo[key] = totals
     return totals
 
@@ -409,10 +431,6 @@ def has_f_cover(paths: Iterable, universe: frozenset, f: int):
             if all(m & cmask for m in masks):
                 return frozenset(combo)
     return None
-
-
-def covers_all(cover_mask: int, path_masks: Iterable[int]) -> bool:
-    return all(m & cover_mask for m in path_masks)
 
 
 # ---------------------------------------------------------------------------

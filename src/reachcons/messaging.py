@@ -129,19 +129,3 @@ def message_set(items) -> MessageSet:
     """Build a MessageSet of VALUE messages from (value, path) pairs."""
     return MessageSet(frozenset(
         Message(VALUE, 0, tuple(p), value=x) for x, p in items))
-
-
-def to_trace_record(m: Message, sender: int, receiver: int,
-                    send_time: int, deliver_time: int) -> dict:
-    return {
-        "round": m.round,
-        "kind": m.kind,
-        "value": m.value,
-        "path": list(m.path),
-        "claimed": sorted(m.claimed) if m.claimed is not None else None,
-        "fifo_counter": m.fifo_counter,
-        "sender": sender,
-        "receiver": receiver,
-        "send_time": send_time,
-        "deliver_time": deliver_time,
-    }

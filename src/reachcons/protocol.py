@@ -18,9 +18,9 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .errors import ProtocolIntegrityError
-from .graph import (DiGraph, _walk_state, count_redundant_paths,
-                    count_simple_paths, has_f_cover, mask_of, set_of,
-                    source_component, _source_component_mask, _reach_mask)
+from .graph import (DiGraph, count_redundant_paths, count_simple_paths,
+                    has_f_cover, mask_of, set_of, source_component,
+                    subset_masks, _source_component_mask, _reach_mask)
 from .messaging import MessageSet
 
 # Wire tags.  VALUE: (VAL_T, round, value, path, phase, m1, m2) where
@@ -640,11 +640,11 @@ def completeness(M_v: MessageSet, M_c: MessageSet, F_u: frozenset,
                  g: DiGraph, f: int, me: int) -> bool:
     """True iff every source-component value in M_c is confirmed by paths in
     M_v that no small cover outside the source component can explain away."""
-    from .conditions import subsets_upto
-    for F_w in subsets_upto(range(g.n), f):
-        if F_w == F_u:
+    fumask = mask_of(F_u)
+    for fwmask in subset_masks(g.n, f):
+        if fwmask == fumask:
             continue
-        S = source_component(g, F_u, F_w)
+        S = source_component(g, F_u, set_of(fwmask))
         universe = frozenset(range(g.n)) - S - {me}
         for q in sorted(S):
             val = M_c.value_of(q)

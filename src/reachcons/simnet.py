@@ -17,13 +17,13 @@ import heapq
 import math
 import random
 from dataclasses import dataclass, field
-from itertools import combinations
 from typing import Dict, List, Optional
 
 from .adversary import FaultPlan, PlanRuntime
 from .conditions import check_k_reach
 from .errors import BudgetError, InvalidArgumentError
-from .graph import DiGraph, _source_component_mask, mask_of, set_of
+from .graph import (DiGraph, _source_component_mask, mask_of, set_of,
+                    subset_masks)
 from .protocol import COMP_T, VAL_T, Node
 
 
@@ -145,22 +145,17 @@ class SimWorld:
         self.pending_honest = 0
         self.trace: Optional[list] = [] if collect_trace else None
         self._cover_cands: dict = {}
-        cands = [0]
-        for size in range(1, f + 1):
-            for combo in combinations(range(g.n), size):
-                cands.append(mask_of(combo))
-        self.all_candidate_masks = tuple(sorted(cands))
+        self.all_candidate_masks = tuple(sorted(subset_masks(g.n, f)))
         self.nodes: List[Node] = []
 
     def cover_cands(self, universe_mask: int) -> tuple:
+        # Nonempty subsets of the universe with at most f members, in
+        # (size, lex) order.
         cached = self._cover_cands.get(universe_mask)
         if cached is None:
-            members = sorted(set_of(universe_mask))
-            out = []
-            for size in range(1, self.f + 1):
-                for combo in combinations(members, size):
-                    out.append(mask_of(combo))
-            cached = self._cover_cands[universe_mask] = tuple(out)
+            cached = self._cover_cands[universe_mask] = tuple(
+                m for m in subset_masks(self.g.n, self.f)
+                if m and not m & ~universe_mask)
         return cached
 
     def note_done(self, v: int):
@@ -244,6 +239,10 @@ class SimWorld:
                 "send_time": sent_at, "deliver_time": t}
 
 
+def _is_real(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def thread_count(n: int, f: int) -> int:
     total = 0
     for size in range(0, f + 1):
@@ -264,9 +263,15 @@ def run(g: DiGraph, inputs: list, f: int, plan: FaultPlan, delay,
     if len(inputs) != g.n:
         raise InvalidArgumentError(
             f"need {g.n} inputs, got {len(inputs)}")
-    if eps <= 0 or K < eps:
-        raise InvalidArgumentError("require K >= eps > 0")
-    if any(x < 0 or x > K for x in inputs):
+    if isinstance(f, bool) or not isinstance(f, int) or not 0 <= f < g.n:
+        raise InvalidArgumentError(
+            f"f must be an integer with 0 <= f < n = {g.n}, got {f!r}")
+    # Comparisons with NaN are false, so these range tests reject NaN too.
+    if not (_is_real(K) and _is_real(eps) and math.isfinite(K)
+            and 0 < eps <= K):
+        raise InvalidArgumentError(
+            f"require finite K >= eps > 0, got K={K!r}, eps={eps!r}")
+    if not all(_is_real(x) and 0 <= x <= K for x in inputs):
         raise InvalidArgumentError(f"inputs must lie within [0, {K}]")
     if budgets.max_n is not None and g.n > budgets.max_n:
         raise BudgetError(
@@ -385,12 +390,8 @@ def assert_round_invariants(metrics: RunMetrics,
     return rep
 
 
-def _candidate_masks(g: DiGraph, f: int) -> list:
-    out = [0]
-    for size in range(1, f + 1):
-        for combo in combinations(range(g.n), size):
-            out.append(mask_of(combo))
-    return out
+def _candidate_masks(g: DiGraph, f: int) -> tuple:
+    return subset_masks(g.n, f)
 
 
 def _check_latch_agreement(metrics: RunMetrics, rep: InvariantReport):

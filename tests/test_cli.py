@@ -234,6 +234,23 @@ def test_config_rejects_unknown_and_missing_keys():
         ScenarioConfig.from_json("not json")
 
 
+@pytest.mark.parametrize("text", [
+    '{"graph": "builtin:k4", "f": 1, "inputs": [0, 1, 1, 0], "eps": NaN}',
+    '{"graph": "builtin:k4", "f": 1, "inputs": [0, 1, 1, 0], '
+    '"K": Infinity}',
+    '{"graph": "builtin:k4", "f": 4, "inputs": [0, 1, 1, 0]}',
+    '{"graph": "builtin:k4", "f": 1, "inputs": [0, NaN, 1, 0]}',
+], ids=["nan-eps", "inf-K", "f-is-n", "nan-input"])
+def test_run_rejects_non_finite_numbers_and_f_at_least_n(tmp_path, capsys,
+                                                        text):
+    cpath = tmp_path / "scenario.json"
+    cpath.write_text(text)
+    out = tmp_path / "m.csv"
+    assert main(["run", str(cpath), "--force", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
 def test_metrics_csv_blank_cells_for_missing_rounds():
     class Stub:
         U = [1.0, None]

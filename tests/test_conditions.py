@@ -1,5 +1,6 @@
 """Reachability and partition condition checkers and their cross-audit."""
 
+import hashlib
 import random
 from itertools import permutations
 
@@ -7,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reachcons import (DiGraph, InvalidArgumentError, check_k_reach,
-                       check_partition_condition, check_point,
+from reachcons import (DiGraph, InvalidArgumentError, all_digraphs,
+                       check_k_reach, check_partition_condition, check_point,
                        equivalence_audit, random_digraph)
 from reachcons.conditions import ConditionVerdict, PartitionViolation
 
@@ -166,3 +167,40 @@ def test_equivalence_on_random_graphs(seed, f):
     for k, which in pairs.items():
         assert (check_k_reach(g, f, k).holds
                 == check_partition_condition(g, f, which).holds)
+
+
+# ---------------------------------------------------------------------------
+# Pinned verdicts and first witnesses
+
+
+def _verdict_digest(cases):
+    """SHA-256 over repr((holds, witness)) of every checker on every case."""
+    h = hashlib.sha256()
+    for g, f in cases:
+        for k in (1, 2, 3):
+            v = check_k_reach(g, f, k)
+            h.update(repr((v.holds, v.witness)).encode())
+        for which in ("ccs", "cca", "bcs"):
+            v = check_partition_condition(g, f, which)
+            h.update(repr((v.holds, v.witness)).encode())
+    return h.hexdigest()
+
+
+def test_verdicts_and_witnesses_pinned_exhaustive_n4():
+    # Every labeled digraph on 1..4 nodes at f = 0, 1, 2.
+    cases = [(g, f) for n in range(1, 5) for g in all_digraphs(n)
+             for f in (0, 1, 2)]
+    assert len(cases) == 3 * (1 + 4 + 64 + 4096)
+    assert _verdict_digest(cases) == (
+        "2b35de303fd04ed233f2d87b2dde72d8488d1d09b73326daa198b6ed83ba7728")
+
+
+def test_verdicts_and_witnesses_pinned_random_n5_to_n7():
+    rng = random.Random(7)
+    cases = []
+    for i in range(100):
+        g = random_digraph(5 + i % 3, rng.uniform(0.3, 0.95),
+                           rng.randrange(2 ** 31))
+        cases.append((g, 1 + i % 2))
+    assert _verdict_digest(cases) == (
+        "428904b81a3731c0b3716baf860579f9e6d4ad64c618e3511e6378afd94c0a08")

@@ -5,6 +5,7 @@ dumb: walk enumeration with split checking for redundant paths, recursive
 branch-and-bound for disjoint path packing, and direct definition scans.
 """
 
+import hashlib
 import random
 from itertools import combinations, permutations
 
@@ -18,7 +19,8 @@ from reachcons import (BudgetError, DiGraph, GraphFormatError,
                        enumerate_redundant_paths, format_edge_list,
                        has_f_cover, is_redundant_path, make_redundant_path,
                        parse_edge_list, propagates, reach_set,
-                       reduced_graph, source_component)
+                       random_digraph, reduced_graph, source_component,
+                       two_cliques)
 from reachcons.graph import (count_simple_paths, enumerate_simple_paths,
                              mask_of, set_of)
 
@@ -221,6 +223,37 @@ def test_k3_redundant_path_count_frozen():
     counts = count_redundant_paths(K3, frozenset())
     assert counts == {0: 17, 1: 17, 2: 17}
     assert len(_all_redundant_walks(K3, 0)) == 17
+
+
+def test_two_cliques_redundant_path_counts_pinned():
+    counts = count_redundant_paths(two_cliques(7, 8, seed=11), frozenset())
+    a, b, c = 12750480401321, 12503578813454, 11304004166283
+    assert counts == {0: a, 1: a, 2: a, 3: b, 4: b, 5: c, 6: b, 7: b, 8: a,
+                      9: b, 10: a, 11: a, 12: b, 13: c}
+    assert sum(counts.values()) == 174_132_363_621_216
+
+
+def test_clique_redundant_path_counts_pinned_for_every_excluded_mask():
+    # On a clique the count per terminal depends only on how many nodes
+    # remain: 724 = 4 * 181 paths on K4 and 16,005 = 5 * 3201 on K5.
+    per_terminal = {1: 1, 2: 3, 3: 17, 4: 181, 5: 3201}
+    for n in (4, 5):
+        g = DiGraph(n, frozenset(permutations(range(n), 2)))
+        for excluded in range(1 << n):
+            rest = [v for v in range(n) if not excluded >> v & 1]
+            expected = {v: per_terminal[len(rest)] for v in rest}
+            assert count_redundant_paths(g, excluded) == expected
+
+
+def test_random_redundant_path_counts_pinned_for_every_excluded_mask():
+    h = hashlib.sha256()
+    for seed in range(4):
+        g = random_digraph(7, 0.7, seed)
+        for excluded in range(1 << g.n):
+            counts = count_redundant_paths(g, excluded)
+            h.update(repr(sorted(counts.items())).encode())
+    assert h.hexdigest() == (
+        "e99e0a4adb053160c1337a3aeb7490c5f9d7eef1f6b918f8997a8040b0b3569e")
 
 
 # ---------------------------------------------------------------------------

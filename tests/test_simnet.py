@@ -95,6 +95,30 @@ def test_run_input_validation():
         run(K4, INPUTS4, 1, plan, d, 0.25, 1.0)
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("inputs,f,K,eps", [
+    # NaN fails every comparison, so a plain range test let it through and
+    # the run produced NaN outputs.
+    ([0.0, NAN, 1.0, 0.0], 1, 1.0, 0.25),
+    # NaN eps and infinite K escaped as ValueError and OverflowError.
+    (INPUTS4, 1, 1.0, NAN),
+    (INPUTS4, 1, INF, 0.25),
+    (INPUTS4, 1, NAN, 0.25),
+    # f >= n used to run and output values.
+    (INPUTS4, 4, 1.0, 0.25),
+    (INPUTS4, 5, 1.0, 0.25),
+    (INPUTS4, -1, 1.0, 0.25),
+], ids=["nan-input", "nan-eps", "inf-K", "nan-K", "f-is-n", "f-above-n",
+        "f-negative"])
+def test_run_rejects_non_finite_numbers_and_f_outside_range(inputs, f, K,
+                                                            eps):
+    with pytest.raises(InvalidArgumentError):
+        run(K4, inputs, f, make_plan("none", {}), UniformDelay(seed=0), K,
+            eps, check_condition=False)
+
+
 def test_run_budget_errors():
     plan = make_plan("none", {})
     d = UniformDelay(seed=0)
