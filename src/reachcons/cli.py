@@ -13,6 +13,7 @@ import dataclasses
 import json
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -21,6 +22,13 @@ from .errors import BudgetError, InvalidArgumentError, ReachconsError
 from .graph import DiGraph, format_edge_list, parse_edge_list
 
 CONDITIONS = ("1reach", "2reach", "3reach", "ccs", "cca", "bcs", "audit")
+
+# JSON value types accepted per config key; a bool is not a number here.
+_CONFIG_TYPES = {
+    "graph": (str,), "f": (int,), "inputs": (list,), "K": (int, float),
+    "eps": (int, float), "plan": (dict,), "delay": (dict,), "seed": (int,),
+    "out": (str, type(None)), "trace": (str, type(None)),
+}
 
 
 @dataclass
@@ -46,8 +54,9 @@ class ScenarioConfig:
             raw = json.loads(text)
         except json.JSONDecodeError as e:
             raise InvalidArgumentError(f"bad scenario config: {e}") from e
-        names = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(raw) - names
+        if not isinstance(raw, dict):
+            raise InvalidArgumentError("scenario config must be a JSON object")
+        unknown = set(raw) - set(_CONFIG_TYPES)
         if unknown:
             raise InvalidArgumentError(
                 f"unknown config keys: {sorted(unknown)}")
@@ -55,6 +64,10 @@ class ScenarioConfig:
         if missing:
             raise InvalidArgumentError(
                 f"config is missing keys: {sorted(missing)}")
+        for key, value in raw.items():
+            if type(value) not in _CONFIG_TYPES[key]:
+                raise InvalidArgumentError(
+                    f"config key {key!r} cannot be {value!r}")
         return cls(**raw)
 
 
@@ -91,59 +104,73 @@ def load_graph(ref: str) -> DiGraph:
         raise InvalidArgumentError(f"cannot read graph {ref!r}: {e}") from e
 
 
+@contextmanager
+def _spec_errors(what: str):
+    """Report a malformed spec value as InvalidArgumentError, not as the
+    TypeError, ValueError, KeyError or AttributeError of parsing it."""
+    try:
+        yield
+    except InvalidArgumentError:
+        raise
+    except (AttributeError, KeyError, TypeError, ValueError) as e:
+        raise InvalidArgumentError(f"bad {what} spec: {e!r}") from e
+
+
 def build_plan(spec: dict, g: DiGraph, f: int, K: float) -> adversary.FaultPlan:
     """A plan spec is either {"name": builtin} or an explicit behavior map:
     {"name": ..., "behaviors": {"3": {"kind": "crash", "after": 0}, ...}}."""
-    if "behaviors" not in spec:
-        name = spec.get("name", "crash-min")
-        plans = adversary.builtin_plans(g, f, K)
-        if name not in plans:
-            raise InvalidArgumentError(
-                f"unknown builtin plan {name!r}; have {sorted(plans)}")
-        return plans[name]
-    behaviors = {}
-    for node_s, b in spec["behaviors"].items():
-        node = int(node_s)
-        kind = b.get("kind")
-        if kind == "crash":
-            behaviors[node] = adversary.Crash(int(b.get("after", 0)))
-        elif kind == "silent":
-            behaviors[node] = adversary.Silent()
-        elif kind == "equivocate":
-            vals = tuple(sorted((int(w), float(x))
-                                for w, x in b["values"].items()))
-            behaviors[node] = adversary.Equivocate(vals)
-        elif kind == "tamper":
-            behaviors[node] = adversary.TamperForward(
-                float(b.get("value_delta", 0.0)))
-        elif kind == "forge":
-            behaviors[node] = adversary.ForgeComplete(
-                claimed=frozenset(b.get("claimed", [])),
-                omit=int(b["omit"]),
-                forged_value=float(b.get("forged_value", 0.5)),
-                forward=bool(b.get("forward", False)))
-        else:
-            raise InvalidArgumentError(f"unknown behavior kind {kind!r}")
-    return adversary.make_plan(spec.get("name", "custom"), behaviors)
+    with _spec_errors("plan"):
+        if "behaviors" not in spec:
+            name = spec.get("name", "crash-min")
+            plans = adversary.builtin_plans(g, f, K)
+            if name not in plans:
+                raise InvalidArgumentError(
+                    f"unknown builtin plan {name!r}; have {sorted(plans)}")
+            return plans[name]
+        behaviors = {}
+        for node_s, b in spec["behaviors"].items():
+            node = int(node_s)
+            kind = b.get("kind")
+            if kind == "crash":
+                behaviors[node] = adversary.Crash(int(b.get("after", 0)))
+            elif kind == "silent":
+                behaviors[node] = adversary.Silent()
+            elif kind == "equivocate":
+                vals = tuple(sorted((int(w), float(x))
+                                    for w, x in b["values"].items()))
+                behaviors[node] = adversary.Equivocate(vals)
+            elif kind == "tamper":
+                behaviors[node] = adversary.TamperForward(
+                    float(b.get("value_delta", 0.0)))
+            elif kind == "forge":
+                behaviors[node] = adversary.ForgeComplete(
+                    claimed=frozenset(b.get("claimed", [])),
+                    omit=int(b["omit"]),
+                    forged_value=float(b.get("forged_value", 0.5)),
+                    forward=bool(b.get("forward", False)))
+            else:
+                raise InvalidArgumentError(f"unknown behavior kind {kind!r}")
+        return adversary.make_plan(spec.get("name", "custom"), behaviors)
 
 
 def build_delay(spec: dict, seed: int):
-    kind = spec.get("kind", "uniform")
-    lo = int(spec.get("lo", 1))
-    hi = int(spec.get("hi", 4))
-    if kind == "uniform":
-        return simnet.UniformDelay(seed, lo, hi)
-    if kind == "targeted-slow":
-        victims = frozenset((int(a), int(b))
-                            for a, b in spec.get("victims", []))
-        return simnet.TargetedSlowDelay(seed, victims,
-                                        int(spec.get("factor", 5)), lo, hi)
-    if kind == "round-skew":
-        offsets = {int(v): int(o)
-                   for v, o in spec.get("offsets", {}).items()}
-        return simnet.RoundSkewDelay(seed, offsets, lo,
-                                     int(spec.get("hi", 2)))
-    raise InvalidArgumentError(f"unknown delay kind {kind!r}")
+    with _spec_errors("delay"):
+        kind = spec.get("kind", "uniform")
+        lo = int(spec.get("lo", 1))
+        hi = int(spec.get("hi", 4))
+        if kind == "uniform":
+            return simnet.UniformDelay(seed, lo, hi)
+        if kind == "targeted-slow":
+            victims = frozenset((int(a), int(b))
+                                for a, b in spec.get("victims", []))
+            return simnet.TargetedSlowDelay(seed, victims,
+                                            int(spec.get("factor", 5)), lo, hi)
+        if kind == "round-skew":
+            offsets = {int(v): int(o)
+                       for v, o in spec.get("offsets", {}).items()}
+            return simnet.RoundSkewDelay(seed, offsets, lo,
+                                         int(spec.get("hi", 2)))
+        raise InvalidArgumentError(f"unknown delay kind {kind!r}")
 
 
 def metrics_csv(metrics: simnet.RunMetrics) -> str:

@@ -73,8 +73,8 @@ class Thread:
     """One candidate-fault-set logical thread for a single round."""
 
     __slots__ = ("idx", "fvset", "fvmask", "reach_mask", "universe_total",
-                 "latched", "consistent", "vals", "latch_at", "remaining",
-                 "fra_counts", "fra_full", "fra_ok_mask", "qual")
+                 "missing", "consistent", "vals", "fra_counts", "fra_full",
+                 "fra_ok_mask", "qual")
 
     def __init__(self, idx, fvset, fvmask, reach_mask, universe_total):
         self.idx = idx
@@ -82,11 +82,9 @@ class Thread:
         self.fvmask = fvmask
         self.reach_mask = reach_mask
         self.universe_total = universe_total
-        self.latched = False
+        self.missing = universe_total  # F_v-avoiding paths not yet received
         self.consistent = True
         self.vals = {}  # initiator -> value, restricted to F_v-avoiding paths
-        self.latch_at = universe_total  # earliest total path count for latch
-        self.remaining = None  # compatible paths still missing (watch mode)
         self.fra_counts = {}  # (init, counter, payload) -> paths received
         self.fra_full = {}  # init -> list of (counter, payload) fully covered
         self.fra_ok_mask = 0
@@ -100,17 +98,11 @@ class RoundState:
     __slots__ = ("r", "path_first", "extras", "by_init_value",
                  "iv_threadmark", "threads", "nextround", "comp_paths",
                  "watched", "qual_threads", "dirty", "fa_record",
-                 "latch_values", "comp_cache", "clause_true", "class_counts",
-                 "total_paths", "next_latch_check", "near_full")
+                 "latch_values", "comp_cache", "clause_true")
 
     def __init__(self, r, threads):
         self.r = r
         self.path_first = {}  # path -> (first value received on it, node mask)
-        self.class_counts = {}  # node mask -> distinct paths with that mask
-        self.total_paths = 0
-        self.next_latch_check = min(
-            (t.latch_at for t in threads), default=0)
-        self.near_full = []  # threads watching for their last few paths
         self.extras = set()  # duplicate-path (value, path) pairs
         self.by_init_value = {}  # (init, value) -> set of path masks
         self.iv_threadmark = {}  # (init, value) -> bitmask of marked threads
@@ -128,12 +120,8 @@ class RoundState:
 
 def candidate_sets(n: int, me: int, f: int) -> list:
     """Candidate fault sets for a node, in lexicographic order."""
-    from itertools import combinations
-    pool = [v for v in range(n) if v != me]
-    sets = [frozenset()]
-    for size in range(1, f + 1):
-        sets.extend(frozenset(c) for c in combinations(pool, size))
-    return sorted(sets, key=lambda s: tuple(sorted(s)))
+    return sorted((set_of(m) for m in subset_masks(n, f) if not m >> me & 1),
+                  key=lambda s: tuple(sorted(s)))
 
 
 class Node:
@@ -147,7 +135,6 @@ class Node:
         self.round = -1
         self.done = False
         self.output = None
-        self.dropped = 0
         self.fifo_sent = 0
         self.frontier = {}  # initiator -> max contiguous counter received
         self.got = {}  # initiator -> counters received beyond the frontier
@@ -229,14 +216,12 @@ class Node:
         if msg[0] == VAL_T:
             _, rnd, x, p, phase, m1, m2 = msg
             if p[-1] != sender:
-                self.dropped += 1
                 return
             if rnd > self.round:
                 self.future.setdefault(rnd, []).append((sender, msg))
                 return
             rstate = self.rounds.get(rnd)
             if rstate is None:
-                self.dropped += 1
                 return
             # Extend the walk state by one hop.  The last-hop edge and the
             # sender's presence in the claimed node mask are checked here;
@@ -249,7 +234,6 @@ class Node:
             qm = m1 | m2
             if (qm >> self.g.n or not qm >> sender & 1
                     or not self.g.out_masks[sender] >> me & 1):
-                self.dropped += 1
                 return
             bit = 1 << me
             if phase == 1:
@@ -260,7 +244,6 @@ class Node:
                     m1 |= bit
             else:
                 if m2 & bit:
-                    self.dropped += 1
                     return
                 m2 |= bit
             self._receive_value(rstate, x, p + (me,), qm | bit, phase,
@@ -270,7 +253,6 @@ class Node:
         else:
             _, rnd, init, k, payload, p = msg
             if p[-1] != sender or p[0] != init:
-                self.dropped += 1
                 return
             if self._note_counter(init, k):
                 self._wake_all()
@@ -281,7 +263,6 @@ class Node:
                 return
             rstate = self.rounds.get(rnd)
             if rstate is None:
-                self.dropped += 1
                 return
             q = p + (self.me,)
             if self._receive_complete(rstate, q, init, k, payload):
@@ -317,52 +298,17 @@ class Node:
         bucket = rstate.by_init_value.get(key)
         if bucket is None or qmask not in bucket:
             self._mark_value(rstate, q[0], x, qmask)
-        cc = rstate.class_counts
-        cc[qmask] = cc.get(qmask, 0) + 1
-        rstate.total_paths += 1
-        for t in rstate.near_full:
-            if not qmask & t.fvmask and not t.latched:
-                t.remaining -= 1
-                if t.remaining <= 0 and t.consistent:
-                    self._latch(rstate, t)
-        if rstate.total_paths >= rstate.next_latch_check:
-            self._latch_scan(rstate)
+        self._latch_scan(rstate, qmask)
 
-    _WATCH_LIMIT = 32
-
-    def _latch_scan(self, rstate):
-        """Latch every thread whose distinct-path count has reached its
-        universe.  A thread still missing d paths cannot become full before
-        d more arrive, so it is rescheduled d deliveries ahead; once d is
-        small the thread instead watches every arrival, which keeps the scan
-        from rerunning per delivery while a straggler path is in flight."""
-        cc = rstate.class_counts
-        tp = rstate.total_paths
-        nxt = None
-        for t in rstate.threads:
-            if t.latched or not t.consistent or t.remaining is not None:
-                continue
-            at = t.latch_at
-            if at > tp:
-                if nxt is None or at < nxt:
-                    nxt = at
-                continue
-            fv = t.fvmask
-            full = 0
-            for qm, c in cc.items():
-                if not qm & fv:
-                    full += c
-            d = t.universe_total - full
-            if d <= 0:
+    def _latch_scan(self, rstate, qmask):
+        """Count a new distinct path against every thread it avoids; a
+        thread latches once none of its paths is missing, if consistent."""
+        threads = rstate.threads
+        for ti in self._avoid_threads(qmask)[0]:
+            t = threads[ti]
+            t.missing -= 1
+            if not t.missing and t.consistent:
                 self._latch(rstate, t)
-            elif d <= self._WATCH_LIMIT:
-                t.remaining = d
-                rstate.near_full.append(t)
-            else:
-                t.latch_at = at = tp + d
-                if nxt is None or at < nxt:
-                    nxt = at
-        rstate.next_latch_check = nxt if nxt is not None else (1 << 62)
 
     def _mark_value(self, rstate, init, x, qmask):
         key = (init, x)
@@ -397,7 +343,6 @@ class Node:
 
     def _latch(self, rstate, t: Thread):
         """First-time maximal consistency: flood the COMPLETE announcement."""
-        t.latched = True
         payload = PayloadView(rstate.r, t.fvmask,
                               tuple(sorted(t.vals.items())))
         rstate.latch_values[t.fvset] = payload

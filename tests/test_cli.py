@@ -251,6 +251,29 @@ def test_run_rejects_non_finite_numbers_and_f_at_least_n(tmp_path, capsys,
     assert not out.exists()
 
 
+K4_CONFIG = '"graph": "builtin:k4", "f": 1, "inputs": [0, 1, 1, 0]'
+
+
+@pytest.mark.parametrize("text", [
+    '{"graph": "builtin:k4", "f": "1", "inputs": [0, 1, 1, 0]}',
+    '{%s, "K": "x"}' % K4_CONFIG,
+    '{%s, "delay": {"lo": "a"}}' % K4_CONFIG,
+    '{%s, "plan": "crash-min"}' % K4_CONFIG,
+    '{"graph": 4, "f": 1, "inputs": [0, 1, 1, 0]}',
+    '5',
+], ids=["str-f", "str-K", "str-delay-lo", "str-plan", "int-graph",
+        "not-an-object"])
+def test_run_rejects_mistyped_config_fields(tmp_path, capsys, text):
+    cpath = tmp_path / "scenario.json"
+    cpath.write_text(text)
+    out = tmp_path / "m.csv"
+    assert main(["run", str(cpath), "--force", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_metrics_csv_blank_cells_for_missing_rounds():
     class Stub:
         U = [1.0, None]

@@ -133,3 +133,22 @@ def test_k7_split_brain_digest_pinned_traced_and_untraced():
     assert len(traced.trace) == traced.deliveries
     assert run_digest(plain) == K7_SPLIT_BRAIN_PIN
     assert run_digest(traced) == K7_SPLIT_BRAIN_PIN
+
+
+# One delivery completes two threads of node 1 at time 52 in round 0, for
+# the fault sets {} and {3}.  Same-delivery latches go in thread index order
+# (the lexicographic fault-set order), so {} latches and floods first; this
+# digest records that order.
+FORGER_TIE_PIN = (
+    "5f4fa9e366c719eb3b10b99a6d073c95225ec418f0cf5912a7544f0a4de0729b")
+
+
+def test_k4_forger_same_delivery_latches_in_thread_order():
+    g = clique(4)
+    delay = TargetedSlowDelay(seed=46, factor=4,
+                              victims=frozenset({(0, 1), (2, 0)}))
+    m = run(g, [0.5, 0.0, 0.0, 0.25], 1, builtin_plans(g, 1)["forger"],
+            delay, K, EPS)
+    assert [fv for v, r, fv in m.latches if (v, r) == (1, 0)] == [
+        frozenset({0}), frozenset({2}), frozenset(), frozenset({3})]
+    assert run_digest(m) == FORGER_TIE_PIN

@@ -9,13 +9,14 @@ from itertools import permutations
 
 import pytest
 
-from reachcons import (DiGraph, ProtocolIntegrityError, UniformDelay,
-                       enumerate_redundant_paths, make_plan, message_set,
-                       run)
+from reachcons import (DiGraph, ProtocolIntegrityError, TamperForward,
+                       UniformDelay, builtin_plans, enumerate_redundant_paths,
+                       make_plan, message_set, run)
 from reachcons.adversary import Crash
-from reachcons.protocol import (PayloadView, candidate_sets, completeness,
-                                filter_and_average)
+from reachcons.protocol import (Node, PayloadView, candidate_sets,
+                                completeness, filter_and_average)
 from reachcons.simnet import thread_count
+from test_golden import delay_policy
 
 
 def clique(n):
@@ -155,3 +156,29 @@ def test_outputs_equal_midpoint_of_final_record():
     for v in metrics.honest:
         rec = metrics.fa_records[(v, last)]
         assert metrics.outputs[v] == (rec.lo_value + rec.hi_value) / 2.0
+
+
+# ---------------------------------------------------------------------------
+# Latch timing
+
+
+@pytest.mark.parametrize("plan", sorted(builtin_plans(K4, 1)) + ["tamper"])
+def test_thread_latches_exactly_when_its_history_is_full(monkeypatch, plan):
+    # A thread latches on the delivery that completes its F-avoiding
+    # history: at that moment it holds every one of its redundant paths.
+    plans = builtin_plans(K4, 1)
+    plans["tamper"] = make_plan("tamper", {3: TamperForward(0.3)})
+    latch = Node._latch
+    seen = []
+
+    def counted_latch(self, rstate, t):
+        seen.append((sum(1 for _, m in rstate.path_first.values()
+                         if not m & t.fvmask), t.universe_total))
+        latch(self, rstate, t)
+
+    monkeypatch.setattr(Node, "_latch", counted_latch)
+    for di in range(5):
+        run(K4, [0.0, 1.0, 1.0, 0.0], 1, plans[plan], delay_policy(di, 4),
+            1.0, 0.25)
+    assert seen
+    assert [have for have, _ in seen] == [total for _, total in seen]
