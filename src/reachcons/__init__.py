@@ -16,7 +16,7 @@ from .graph import (DiGraph, RedundantPath, count_disjoint_paths,
                     count_redundant_paths, enumerate_redundant_paths,
                     format_edge_list, has_f_cover, is_redundant_path,
                     make_redundant_path, parse_edge_list, propagates,
-                    reach_set, reduced_graph, source_component)
+                    reach_set, source_component)
 from .messaging import EMPTY, Message, MessageSet, message_set
 from .simnet import (Budgets, RoundSkewDelay, RunMetrics, TargetedSlowDelay,
                      UniformDelay, assert_round_invariants, run)
@@ -32,8 +32,8 @@ __all__ = [
     "count_disjoint_paths", "count_redundant_paths", "enumerate_redundant_paths",
     "equivalence_audit", "format_edge_list", "has_f_cover",
     "is_redundant_path", "make_plan", "make_redundant_path", "message_set",
-    "parse_edge_list", "propagates", "random_digraph", "reach_set",
-    "reduced_graph", "run", "source_component", "two_cliques",
+    "parse_edge_list", "propagates", "random_digraph", "reach_set", "run",
+    "source_component", "two_cliques",
 ]
 
 __version__ = "0.1.0"

@@ -96,7 +96,17 @@ class PlanRuntime:
     """Per-run mutable adversary state (send counters, forged payloads)."""
 
     def __init__(self, plan: FaultPlan, g: DiGraph):
-        self.plan = plan
+        for v, b in plan.behaviors:
+            named = [v]
+            if isinstance(b, ForgeComplete):
+                named += [b.omit, *b.claimed]
+            elif isinstance(b, Equivocate):
+                named += [w for w, _ in b.values]
+            for w in named:
+                if w not in g.nodes:
+                    raise InvalidArgumentError(
+                        f"plan for node {v!r} names node {w!r}, outside "
+                        f"the graph's {g.n} nodes")
         self.g = g
         self.sent = {v: 0 for v in plan.faulty}
         self._behaviors = dict(plan.behaviors)

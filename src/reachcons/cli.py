@@ -21,7 +21,7 @@ from . import adversary, conditions, generate, simnet
 from .errors import BudgetError, InvalidArgumentError, ReachconsError
 from .graph import DiGraph, format_edge_list, parse_edge_list
 
-CONDITIONS = ("1reach", "2reach", "3reach", "ccs", "cca", "bcs", "audit")
+CONDITIONS = ("1reach", "2reach", "3reach", "ccs", "cca", "bcs")
 
 # JSON value types accepted per config key; a bool is not a number here.
 _CONFIG_TYPES = {
@@ -191,12 +191,6 @@ def metrics_csv(metrics: simnet.RunMetrics) -> str:
 def cmd_check(args) -> int:
     g = load_graph(args.graph)
     cond = args.condition
-    if cond == "audit":
-        report = conditions.equivalence_audit(args.f, args.n_max)
-        print(f"audit: {report.graphs_checked} graphs checked, "
-              f"{len(report.mismatches)} mismatches"
-              + (" (sampled)" if report.sampled else ""))
-        return 0 if report.ok else 1
     if cond.endswith("reach"):
         verdict = conditions.check_k_reach(g, args.f, int(cond[0]))
     else:
@@ -217,7 +211,7 @@ def _execute(config: ScenarioConfig, seed: int, force: bool,
     metrics = simnet.run(g, config.inputs, config.f, plan, delay,
                          config.K, config.eps, budgets=budgets,
                          collect_trace=config.trace is not None)
-    if metrics.three_reach is False and not force:
+    if not (metrics.three_reach or force):
         raise InvalidArgumentError(
             "graph fails the 3-reach condition for this f; "
             "rerun with --force to proceed with guarantees void")
@@ -236,7 +230,7 @@ def _emit_run(metrics: simnet.RunMetrics, config: ScenarioConfig,
         with open(config.trace, "w") as fh:
             for rec in metrics.trace:
                 fh.write(json.dumps(rec, sort_keys=True) + "\n")
-    if metrics.three_reach is False:
+    if not metrics.three_reach:
         print("warning: 3-reach fails; guarantees void", file=sys.stderr)
     report = simnet.assert_round_invariants(metrics)
     for v in report.violations:
@@ -258,16 +252,22 @@ def _load_config(args) -> ScenarioConfig:
 
 def _budgets(args) -> simnet.Budgets:
     kw = {}
-    if getattr(args, "max_n", None) is not None:
+    if args.max_n is not None:
         kw["max_n"] = args.max_n
-    if getattr(args, "max_threads", None) is not None:
+    if args.max_threads is not None:
         kw["max_threads"] = args.max_threads
     return simnet.Budgets(**kw)
 
 
 def _seed_of(config: ScenarioConfig) -> int:
     env = os.environ.get("REACHCONS_SEED")
-    return int(env) if env else config.seed
+    if not env:
+        return config.seed
+    try:
+        return int(env)
+    except ValueError:
+        raise InvalidArgumentError(
+            f"REACHCONS_SEED must be an integer, got {env!r}") from None
 
 
 def cmd_run(args) -> int:
@@ -352,8 +352,6 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--graph", required=True)
     c.add_argument("--f", type=int, required=True)
     c.add_argument("--condition", required=True, choices=CONDITIONS)
-    c.add_argument("--n-max", type=int, default=4,
-                   help="audit size bound (condition=audit only)")
     c.set_defaults(fn=cmd_check)
 
     r = sub.add_parser("run", help="execute one scenario")

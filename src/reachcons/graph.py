@@ -437,114 +437,35 @@ def has_f_cover(paths: Iterable, universe: frozenset, f: int):
 # Reduced graphs and source components
 
 
-@dataclass(frozen=True)
-class ReducedGraph:
-    """Base graph with all outgoing edges of F1 union F2 removed."""
-
-    base: DiGraph
-    F1: frozenset
-    F2: frozenset
-
-    @property
-    def graph(self) -> DiGraph:
-        removed = self.F1 | self.F2
-        edges = frozenset((u, v) for u, v in self.base.edges
-                          if u not in removed)
-        return DiGraph(self.base.n, edges)
-
-
-def reduced_graph(g: DiGraph, F1: frozenset, F2: frozenset,
-                  f: int | None = None) -> ReducedGraph:
-    if f is not None and (len(F1) > f or len(F2) > f):
-        raise InvalidArgumentError(
-            f"fault sets exceed the bound f={f}: |F1|={len(F1)}, "
-            f"|F2|={len(F2)}")
-    return ReducedGraph(g, frozenset(F1), frozenset(F2))
-
-
 def _reduced_out_masks(g: DiGraph, removed_mask: int) -> list:
     return [0 if removed_mask >> u & 1 else g.out_masks[u]
             for u in range(g.n)]
 
 
 def _source_component_mask(g: DiGraph, removed_mask: int) -> int:
+    """Mask of the nodes that reach every node once the nodes in
+    removed_mask lose their outgoing edges: one forward BFS per node."""
     key = ("source", removed_mask)
     memo = g._memo
     cached = memo.get(key)
     if cached is not None:
         return cached
     out_masks = _reduced_out_masks(g, removed_mask)
-    n = g.n
-    # Tarjan strongly connected components, iterative.
-    index = [-1] * n
-    low = [0] * n
-    on_stack = [False] * n
-    comp_of = [-1] * n
-    scc_stack: list = []
-    comps: list = []
-    counter = 0
-    for root in range(n):
-        if index[root] != -1:
-            continue
-        work = [(root, iter(sorted(set_of(out_masks[root]))))]
-        index[root] = low[root] = counter
-        counter += 1
-        scc_stack.append(root)
-        on_stack[root] = True
-        while work:
-            u, it = work[-1]
-            advanced = False
-            for w in it:
-                if index[w] == -1:
-                    index[w] = low[w] = counter
-                    counter += 1
-                    scc_stack.append(w)
-                    on_stack[w] = True
-                    work.append((w, iter(sorted(set_of(out_masks[w])))))
-                    advanced = True
-                    break
-                if on_stack[w]:
-                    low[u] = min(low[u], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[u])
-            if low[u] == index[u]:
-                members = 0
-                while True:
-                    w = scc_stack.pop()
-                    on_stack[w] = False
-                    comp_of[w] = len(comps)
-                    members |= 1 << w
-                    if w == u:
-                        break
-                comps.append(members)
-    # Condensation reachability: node mask reachable from each component.
-    k = len(comps)
-    comp_succ = [set() for _ in range(k)]
-    for u in range(n):
-        rest = out_masks[u]
-        w = 0
-        while rest:
-            if rest & 1 and comp_of[u] != comp_of[w]:
-                comp_succ[comp_of[u]].add(comp_of[w])
-            rest >>= 1
-            w += 1
-    reach = [0] * k
-    # Tarjan emits components in reverse topological order, so a single
-    # forward pass accumulates full reachability.
-    for ci in range(k):
-        m = comps[ci]
-        for cj in comp_succ[ci]:
-            m |= reach[cj]
-        reach[ci] = m
     full = g.full_mask
     result = 0
-    for ci in range(k):
-        if reach[ci] == full:
-            result |= comps[ci]
+    for s in range(g.n):
+        # Forward BFS from s over the reduced out-masks, a level at a time.
+        cur = frontier = 1 << s
+        while frontier:
+            succ = 0
+            while frontier:
+                low = frontier & -frontier
+                succ |= out_masks[low.bit_length() - 1]
+                frontier ^= low
+            frontier = succ & ~cur
+            cur |= frontier
+        if cur == full:
+            result |= 1 << s
     memo[key] = result
     return result
 

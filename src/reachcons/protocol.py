@@ -95,17 +95,16 @@ class RoundState:
     """A node's message history and threads for one round, kept alive so
     past-round traffic is still recorded and forwarded after advancing."""
 
-    __slots__ = ("r", "path_first", "extras", "by_init_value",
-                 "iv_threadmark", "threads", "nextround", "comp_paths",
-                 "watched", "qual_threads", "dirty", "fa_record",
-                 "latch_values", "comp_cache", "clause_true")
+    __slots__ = ("r", "path_first", "extras", "by_init_value", "threads",
+                 "nextround", "comp_paths", "watched", "qual_threads",
+                 "dirty", "fa_record", "latch_values", "comp_cache",
+                 "clause_true")
 
     def __init__(self, r, threads):
         self.r = r
         self.path_first = {}  # path -> (first value received on it, node mask)
         self.extras = set()  # duplicate-path (value, path) pairs
         self.by_init_value = {}  # (init, value) -> set of path masks
-        self.iv_threadmark = {}  # (init, value) -> bitmask of marked threads
         self.threads = threads
         self.nextround = False
         self.comp_paths = {}  # (init, counter, payload) -> set of paths
@@ -133,7 +132,6 @@ class Node:
         self.me = me
         self.x = [x0]
         self.round = -1
-        self.done = False
         self.output = None
         self.fifo_sent = 0
         self.frontier = {}  # initiator -> max contiguous counter received
@@ -148,21 +146,17 @@ class Node:
             self._templates.append(
                 (idx, fv, fvmask, _reach_mask(g, me, fvmask),
                  count_redundant_paths(g, fvmask)[me]))
-        self._avoid_cache = {}  # path mask -> (thread idx list, thread bitmask)
+        self._avoid_cache = {}  # path mask -> indices of threads it avoids
         full = g.full_mask & ~(1 << me)
         self._fa_cands = world.cover_cands(full)
 
     # -- helpers -----------------------------------------------------------
 
-    def _avoid_threads(self, qmask: int):
+    def _avoid_threads(self, qmask: int) -> tuple:
         cached = self._avoid_cache.get(qmask)
         if cached is None:
-            idxs = tuple(i for i, _, m, _, _ in self._templates
-                         if not m & qmask)
-            bits = 0
-            for i in idxs:
-                bits |= 1 << i
-            cached = self._avoid_cache[qmask] = (idxs, bits)
+            cached = self._avoid_cache[qmask] = tuple(
+                i for i, _, m, _, _ in self._templates if not m & qmask)
         return cached
 
     def _note_counter(self, init: int, k: int) -> bool:
@@ -304,7 +298,7 @@ class Node:
         """Count a new distinct path against every thread it avoids; a
         thread latches once none of its paths is missing, if consistent."""
         threads = rstate.threads
-        for ti in self._avoid_threads(qmask)[0]:
+        for ti in self._avoid_threads(qmask):
             t = threads[ti]
             t.missing -= 1
             if not t.missing and t.consistent:
@@ -320,24 +314,15 @@ class Node:
         bucket.add(qmask)
         if key in rstate.watched:
             rstate.dirty.update(rstate.qual_threads)
-        _, tbits = self._avoid_threads(qmask)
-        marked = rstate.iv_threadmark.get(key, 0)
-        new = tbits & ~marked
-        if not new:
-            return
-        rstate.iv_threadmark[key] = marked | new
+        # A thread already marked with (init, x) sees no change here.
         threads = rstate.threads
-        ti = 0
-        while new:
-            if new & 1:
-                t = threads[ti]
-                prior = t.vals.get(init)
-                if prior is None:
-                    t.vals[init] = x
-                elif prior != x:
-                    t.consistent = False
-            new >>= 1
-            ti += 1
+        for ti in self._avoid_threads(qmask):
+            t = threads[ti]
+            prior = t.vals.get(init)
+            if prior is None:
+                t.vals[init] = x
+            elif prior != x:
+                t.consistent = False
 
     # -- announcements -----------------------------------------------------
 
@@ -467,7 +452,6 @@ class Node:
         assert len(self.x) == rstate.r + 1
         self.x.append(xn)
         if rstate.r + 1 >= self.world.r_out:
-            self.done = True
             self.output = xn
             self.world.note_done(self.me)
         else:

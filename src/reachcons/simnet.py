@@ -99,13 +99,13 @@ class RunMetrics:
     r_out: int
     faulty: frozenset
     inputs: list
+    three_reach: bool
     U: list = field(default_factory=list)
     mu: list = field(default_factory=list)
     outputs: dict = field(default_factory=dict)
     fa_records: dict = field(default_factory=dict)  # (node, round) -> FARecord
     latches: dict = field(default_factory=dict)  # (node, round, fv) -> payload
     stalled: bool = False
-    three_reach: Optional[bool] = None
     deliveries: int = 0
     trace: Optional[list] = None
 
@@ -125,16 +125,13 @@ class RunMetrics:
 
 class SimWorld:
     def __init__(self, g: DiGraph, f: int, r_out: int, plan: FaultPlan,
-                 delay, budgets: Budgets, collect_trace: bool):
+                 delay, collect_trace: bool):
         self.g = g
         self.f = f
         self.r_out = r_out
-        self.plan = plan
         self.plan_rt = PlanRuntime(plan, g)
         self._faulty = plan.faulty
-        self.delay = delay
         self._delay = delay.delay
-        self.budgets = budgets
         self.time = 0
         # deliver time -> [(sender, dest, wire, sent_at)] in send order, and
         # a heap of the distinct deliver times.
@@ -256,7 +253,6 @@ def rounds_to_output(K: float, eps: float) -> int:
 
 def run(g: DiGraph, inputs: list, f: int, plan: FaultPlan, delay,
         K: float, eps: float, *, budgets: Optional[Budgets] = None,
-        check_condition: bool = True,
         collect_trace: bool = False) -> RunMetrics:
     """Execute a full multi-round consensus run and collect metrics."""
     budgets = budgets or Budgets()
@@ -284,11 +280,10 @@ def run(g: DiGraph, inputs: list, f: int, plan: FaultPlan, delay,
             f"{budgets.max_threads}")
     r_out = rounds_to_output(K, eps)
     metrics = RunMetrics(g=g, f=f, K=K, eps=eps, r_out=r_out,
-                         faulty=plan.faulty, inputs=list(inputs))
-    if check_condition:
-        metrics.three_reach = check_k_reach(g, f, 3).holds
+                         faulty=plan.faulty, inputs=list(inputs),
+                         three_reach=check_k_reach(g, f, 3).holds)
 
-    world = SimWorld(g, f, r_out, plan, delay, budgets, collect_trace)
+    world = SimWorld(g, f, r_out, plan, delay, collect_trace)
     world.pending_honest = len(metrics.honest)
     nodes = world.nodes = [Node(world, v, float(inputs[v]))
                            for v in range(g.n)]

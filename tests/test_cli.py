@@ -36,8 +36,12 @@ def test_check_fails_with_witness(tmp_path, capsys):
 def test_check_partition_and_audit(capsys):
     assert main(["check", "--graph", "builtin:k4", "--f", "1",
                  "--condition", "bcs"]) == 0
-    assert main(["check", "--graph", "builtin:k4", "--f", "1",
-                 "--condition", "audit", "--n-max", "3"]) == 0
+    # The audit is its own subcommand; check only decides one graph.
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "--graph", "builtin:k4", "--f", "1",
+              "--condition", "audit"])
+    assert exc.value.code == 2
+    assert main(["audit", "--f", "1", "--n-max", "3"]) == 0
     assert "0 mismatches" in capsys.readouterr().out
 
 
@@ -74,6 +78,15 @@ def test_run_env_seed_override(tmp_path, monkeypatch):
     assert main(["run", "k4-crash", "--out", str(alt)]) == 0
     # The override changes the delay schedule; the run must still succeed.
     assert alt.read_text().splitlines()[0] == "round,U,mu,spread"
+
+
+def test_run_env_seed_must_be_an_integer(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "m.csv"
+    monkeypatch.setenv("REACHCONS_SEED", "abc")
+    assert main(["run", "k4-crash", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "REACHCONS_SEED" in err
+    assert not out.exists()
 
 
 def test_run_two_cliques_scenario_hits_the_budget(capsys):
@@ -261,8 +274,15 @@ K4_CONFIG = '"graph": "builtin:k4", "f": 1, "inputs": [0, 1, 1, 0]'
     '{%s, "plan": "crash-min"}' % K4_CONFIG,
     '{"graph": 4, "f": 1, "inputs": [0, 1, 1, 0]}',
     '5',
+    # A plan may name only nodes of the graph.
+    '{%s, "plan": {"behaviors": {"9": {"kind": "crash"}}}}' % K4_CONFIG,
+    '{%s, "plan": {"behaviors": {"3": {"kind": "forge", "omit": 9, '
+    '"claimed": [7]}}}}' % K4_CONFIG,
+    '{%s, "plan": {"behaviors": {"3": {"kind": "equivocate", '
+    '"values": {"9": 0.5}}}}}' % K4_CONFIG,
 ], ids=["str-f", "str-K", "str-delay-lo", "str-plan", "int-graph",
-        "not-an-object"])
+        "not-an-object", "crash-node-outside", "forge-node-outside",
+        "equivocate-dest-outside"])
 def test_run_rejects_mistyped_config_fields(tmp_path, capsys, text):
     cpath = tmp_path / "scenario.json"
     cpath.write_text(text)

@@ -14,13 +14,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reachcons import (BudgetError, DiGraph, GraphFormatError,
-                       InvalidArgumentError, RedundantPath,
+                       InvalidArgumentError, RedundantPath, all_digraphs,
                        count_disjoint_paths, count_redundant_paths,
                        enumerate_redundant_paths, format_edge_list,
                        has_f_cover, is_redundant_path, make_redundant_path,
                        parse_edge_list, propagates, reach_set,
-                       random_digraph, reduced_graph, source_component,
-                       two_cliques)
+                       random_digraph, source_component, two_cliques)
 from reachcons.graph import (count_simple_paths, enumerate_simple_paths,
                              mask_of, set_of)
 
@@ -341,15 +340,6 @@ def test_cover_matches_oracle(data):
 # Reduced graphs and source components
 
 
-def test_reduced_graph_removes_outgoing_edges():
-    rg = reduced_graph(K4, frozenset({0}), frozenset({1}))
-    g = rg.graph
-    assert all(u not in (0, 1) for u, _ in g.edges)
-    assert g.has_edge(2, 0) and g.has_edge(3, 1)
-    with pytest.raises(InvalidArgumentError):
-        reduced_graph(K4, frozenset({0, 1}), frozenset(), f=1)
-
-
 def test_source_component_examples():
     # Clique minus one node's outgoing edges: the rest still reach everyone.
     assert source_component(K4, frozenset({3}), frozenset()) == {0, 1, 2}
@@ -364,6 +354,14 @@ def test_source_component_examples():
         F1 = frozenset(rng.sample(range(5), 1))
         F2 = frozenset(rng.sample(range(5), 1))
         assert source_component(g, F1, F2) == source_component(g, F2, F1)
+
+
+def test_source_component_rejects_fault_sets_over_f():
+    with pytest.raises(InvalidArgumentError):
+        source_component(K4, frozenset({0, 1}), frozenset(), f=1)
+    with pytest.raises(InvalidArgumentError):
+        source_component(K4, frozenset(), frozenset({0, 1}), f=1)
+    assert source_component(K4, frozenset({0}), frozenset({1}), f=1) == {2, 3}
 
 
 def _source_oracle(g, removed):
@@ -384,6 +382,12 @@ def _source_oracle(g, removed):
 
 
 def test_source_component_matches_oracle():
+    for n in range(1, 5):
+        for g in all_digraphs(n):
+            for rmask in range(1 << n):
+                removed = set_of(rmask)
+                assert (source_component(g, removed, frozenset())
+                        == _source_oracle(g, removed))
     rng = random.Random(17)
     for _ in range(40):
         g = random_graph(rng, rng.randrange(2, 6), 0.6)

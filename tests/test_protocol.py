@@ -13,6 +13,7 @@ from reachcons import (DiGraph, ProtocolIntegrityError, TamperForward,
                        UniformDelay, builtin_plans, enumerate_redundant_paths,
                        make_plan, message_set, run)
 from reachcons.adversary import Crash
+from reachcons.graph import mask_of
 from reachcons.protocol import (Node, PayloadView, candidate_sets,
                                 completeness, filter_and_average)
 from reachcons.simnet import thread_count
@@ -165,7 +166,9 @@ def test_outputs_equal_midpoint_of_final_record():
 @pytest.mark.parametrize("plan", sorted(builtin_plans(K4, 1)) + ["tamper"])
 def test_thread_latches_exactly_when_its_history_is_full(monkeypatch, plan):
     # A thread latches on the delivery that completes its F-avoiding
-    # history: at that moment it holds every one of its redundant paths.
+    # history: at that moment it holds every one of its redundant paths,
+    # and its values are exactly those that history carries, one per
+    # initiator.
     plans = builtin_plans(K4, 1)
     plans["tamper"] = make_plan("tamper", {3: TamperForward(0.3)})
     latch = Node._latch
@@ -174,6 +177,12 @@ def test_thread_latches_exactly_when_its_history_is_full(monkeypatch, plan):
     def counted_latch(self, rstate, t):
         seen.append((sum(1 for _, m in rstate.path_first.values()
                          if not m & t.fvmask), t.universe_total))
+        history = {(p[0], x) for p, (x, m) in rstate.path_first.items()
+                   if not m & t.fvmask}
+        history |= {(p[0], x) for x, p in rstate.extras
+                    if not mask_of(p) & t.fvmask}
+        assert t.consistent
+        assert set(t.vals.items()) == history
         latch(self, rstate, t)
 
     monkeypatch.setattr(Node, "_latch", counted_latch)

@@ -93,6 +93,9 @@ def test_run_input_validation():
         run(K4, INPUTS4, 1, plan, d, 1.0, 0.0)
     with pytest.raises(InvalidArgumentError):
         run(K4, INPUTS4, 1, plan, d, 0.25, 1.0)
+    # A plan may name only nodes of the graph.
+    with pytest.raises(InvalidArgumentError):
+        run(K4, INPUTS4, 1, make_plan("ghost", {9: Crash(0)}), d, 1.0, 0.25)
 
 
 NAN, INF = float("nan"), float("inf")
@@ -116,7 +119,7 @@ def test_run_rejects_non_finite_numbers_and_f_outside_range(inputs, f, K,
                                                             eps):
     with pytest.raises(InvalidArgumentError):
         run(K4, inputs, f, make_plan("none", {}), UniformDelay(seed=0), K,
-            eps, check_condition=False)
+            eps)
 
 
 def test_run_budget_errors():
@@ -216,12 +219,6 @@ def test_finished_run_is_freed_by_reference_counting():
     finally:
         gc.enable()
     assert (after_return, after_raise) == (0, 0)
-
-
-def test_condition_check_can_be_skipped():
-    metrics = run(K4, INPUTS4, 1, make_plan("none", {}),
-                  UniformDelay(seed=1), 1.0, 0.25, check_condition=False)
-    assert metrics.three_reach is None
 
 
 # ---------------------------------------------------------------------------
