@@ -1,7 +1,10 @@
 """Fault plans: behaviors bound to faulty nodes, applied as send interceptors.
 
 Faulty nodes run the honest runtime internally; every outgoing message passes
-through the plan, which may drop, mutate, or multiply it.  No behavior may
+through the plan, which may drop, mutate, or multiply it.  The simulator drops
+the sends of a mute node (`FaultPlan.mute`) that the plan would drop anyway
+without asking it.  A VALUE wire carries its path as a packed key (see
+`protocol.path_key`), a COMPLETE wire as a tuple.  No behavior may
 emit a path whose last hop is not the sender itself; that rule is enforced
 structurally on every emission.
 """
@@ -13,7 +16,7 @@ from typing import Dict
 
 from .errors import InvalidArgumentError
 from .graph import DiGraph, mask_of
-from .protocol import COMP_T, VAL_T, PayloadView
+from .protocol import COMP_T, VAL_T, PayloadView, path_last
 
 
 @dataclass(frozen=True)
@@ -80,6 +83,17 @@ class FaultPlan:
             if isinstance(b, Silent)
             or (isinstance(b, Crash) and b.after <= 0))
 
+    @property
+    def mute(self) -> frozenset:
+        """Faulty nodes whose behavior emits only their own initial VALUEs
+        (with the forged COMPLETE riding on them) and drops every other
+        send.  They still receive, since their round progress times those
+        initial VALUEs."""
+        return frozenset(
+            v for v, b in self.behaviors
+            if isinstance(b, Equivocate)
+            or (isinstance(b, ForgeComplete) and not b.forward))
+
     def behavior_of(self, v: int):
         for node, b in self.behaviors:
             if node == v:
@@ -118,9 +132,10 @@ class PlanRuntime:
 
     def intercept(self, sender: int, dest: int, wire: tuple, node) -> list:
         out = self._apply(sender, dest, wire, node)
+        n = self.g.n
         for m in out:
-            path = m[3] if m[0] == VAL_T else m[5]
-            if path[-1] != sender:
+            last = path_last(m[3], n) if m[0] == VAL_T else m[5][-1]
+            if last != sender:
                 raise InvalidArgumentError(
                     "adversary emitted a path not ending at the sender")
         return out
@@ -133,24 +148,26 @@ class PlanRuntime:
             idx = self.sent[sender]
             self.sent[sender] += 1
             return [wire] if idx < b.after else []
+        # A VALUE key of at most n is a one-node path: the sender's own value.
         tag = wire[0]
+        own = tag == VAL_T and wire[3] <= self.g.n
         if isinstance(b, Equivocate):
-            if tag == VAL_T and len(wire[3]) == 1:
+            if own:
                 x = self.equiv_maps[sender].get(dest, wire[2])
                 return [(VAL_T, wire[1], x) + wire[3:]]
             return []
         if isinstance(b, TamperForward):
-            if tag == VAL_T and len(wire[3]) > 1:
+            if tag == VAL_T and not own:
                 return [(VAL_T, wire[1], wire[2] + b.value_delta)
                         + wire[3:]]
             return [wire]
         if isinstance(b, ForgeComplete):
-            return self._forge(sender, dest, wire, node, b)
+            return self._forge(sender, dest, wire, node, b, own)
         return [wire]
 
-    def _forge(self, sender, dest, wire, node, b: ForgeComplete) -> list:
-        tag = wire[0]
-        if tag == VAL_T and len(wire[3]) == 1:
+    def _forge(self, sender, dest, wire, node, b: ForgeComplete,
+               own: bool) -> list:
+        if own:
             rnd = wire[1]
             key = (sender, rnd)
             if key not in self.forged:

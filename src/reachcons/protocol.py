@@ -10,6 +10,14 @@ The engine works on lightweight wire tuples and bitmask indexes so floods on
 six- and seven-node graphs stay tractable; the module-level completeness and
 filter_and_average functions are straightforward reference implementations
 over MessageSet used for unit-level cross-checks.
+
+A VALUE path travels and is stored as one int, its key (`path_key`): one
+digit of `n.bit_length()` bits per hop, node v written as v + 1, first node
+most significant.  Extending a path is a shift and an or, the key is its own
+canonical id, and a node's history maps keys to one shared (value, node mask)
+record per distinct pair.  COMPLETE paths stay tuples: a flood carries about
+fifty times fewer of them than VALUE paths, and a receiver asks whether it is
+on the path already.
 """
 
 from __future__ import annotations
@@ -23,8 +31,8 @@ from .graph import (DiGraph, count_redundant_paths, count_simple_paths,
                     subset_masks, _source_component_mask, _reach_mask)
 from .messaging import MessageSet
 
-# Wire tags.  VALUE: (VAL_T, round, value, path, phase, m1, m2) where
-# (phase, m1, m2) is the walk state of the path: phase 1 while the walk is
+# Wire tags.  VALUE: (VAL_T, round, value, key, phase, m1, m2) where key is
+# the packed path and (phase, m1, m2) its walk state: phase 1 while the walk is
 # still simple with visited-mask m1, phase 2 once the second segment is open
 # with visited-mask m2.  Receivers verify that m1|m2 matches the path's node
 # set and extend the state in constant time; a forged state can only make a
@@ -32,6 +40,48 @@ from .messaging import MessageSet
 # COMPLETE: (COMP_T, round, init, counter, payload, path).
 VAL_T = 0
 COMP_T = 1
+
+
+def path_key(p, n: int) -> int:
+    """The packed key of a path over nodes 0..n-1."""
+    bits = n.bit_length()
+    key = 0
+    for v in p:
+        key = key << bits | (v + 1)
+    return key
+
+
+def path_of(key: int, n: int) -> tuple:
+    """The path a key packs, as a tuple of nodes."""
+    bits = n.bit_length()
+    hop = (1 << bits) - 1
+    out = []
+    while key:
+        out.append((key & hop) - 1)
+        key >>= bits
+    out.reverse()
+    return tuple(out)
+
+
+# The engine inlines the next three on its hot paths.
+
+def path_init(key: int, n: int) -> int:
+    """The first node of a packed path: its top digit."""
+    bits = n.bit_length()
+    return (key >> bits * ((key.bit_length() - 1) // bits)) - 1
+
+
+def path_last(key: int, n: int) -> int:
+    """The last node of a packed path: its bottom digit."""
+    return (key & ((1 << n.bit_length()) - 1)) - 1
+
+
+def path_order(key: int, n: int) -> int:
+    """A sort key that orders packed paths as their tuples order: the key
+    left-aligned to 2n digits.  Every hop digit is nonzero, so a proper
+    prefix sorts first."""
+    bits = n.bit_length()
+    return key << bits * (2 * n - 1 - (key.bit_length() - 1) // bits)
 
 
 @dataclass(frozen=True)
@@ -95,15 +145,16 @@ class RoundState:
     """A node's message history and threads for one round, kept alive so
     past-round traffic is still recorded and forwarded after advancing."""
 
-    __slots__ = ("r", "path_first", "extras", "by_init_value", "threads",
-                 "nextround", "comp_paths", "watched", "qual_threads",
-                 "dirty", "fa_record", "latch_values", "comp_cache",
-                 "clause_true")
+    __slots__ = ("r", "path_first", "recs", "extras", "by_init_value",
+                 "threads", "nextround", "comp_paths", "watched",
+                 "qual_threads", "dirty", "fa_record", "latch_values",
+                 "comp_cache", "clause_true")
 
     def __init__(self, r, threads):
         self.r = r
-        self.path_first = {}  # path -> (first value received on it, node mask)
-        self.extras = set()  # duplicate-path (value, path) pairs
+        self.path_first = {}  # key -> (first value received on it, node mask)
+        self.recs = {}  # (value, node mask) -> the one record shared by keys
+        self.extras = set()  # duplicate-path (value, key) pairs
         self.by_init_value = {}  # (init, value) -> set of path masks
         self.threads = threads
         self.nextround = False
@@ -149,6 +200,7 @@ class Node:
         self._avoid_cache = {}  # path mask -> indices of threads it avoids
         full = g.full_mask & ~(1 << me)
         self._fa_cands = world.cover_cands(full)
+        self._bits = g.n.bit_length()  # bits per digit of a packed path
 
     # -- helpers -----------------------------------------------------------
 
@@ -196,9 +248,9 @@ class Node:
         x = self.x[r]
         me = self.me
         # Self-delivery of the single-node path, then the value flood.
-        self._receive_value(rstate, x, (me,), 1 << me, 1, 1 << me, 0,
+        self._receive_value(rstate, x, me + 1, 1 << me, 1, 1 << me, 0,
                             forward=False)
-        wire = (VAL_T, r, x, (me,), 1, 1 << me, 0)
+        wire = (VAL_T, r, x, me + 1, 1, 1 << me, 0)
         self.world.send_flood(me, self.out_list, wire)
         self._sweep(rstate)
         for sender, msg in self.future.pop(r, ()):
@@ -209,7 +261,8 @@ class Node:
     def on_deliver(self, sender: int, msg: tuple):
         if msg[0] == VAL_T:
             _, rnd, x, p, phase, m1, m2 = msg
-            if p[-1] != sender:
+            bits = self._bits
+            if p & ((1 << bits) - 1) != sender + 1:  # path_last(p) != sender
                 return
             if rnd > self.round:
                 self.future.setdefault(rnd, []).append((sender, msg))
@@ -240,8 +293,8 @@ class Node:
                 if m2 & bit:
                     return
                 m2 |= bit
-            self._receive_value(rstate, x, p + (me,), qm | bit, phase,
-                                m1, m2, forward=True)
+            self._receive_value(rstate, x, p << bits | (me + 1), qm | bit,
+                                phase, m1, m2, forward=True)
             if rstate.dirty and not rstate.nextround:
                 self._sweep(rstate)
         else:
@@ -277,9 +330,10 @@ class Node:
             if prior[0] == x or (x, q) in rstate.extras:
                 return
             rstate.extras.add((x, q))
-            self._mark_value(rstate, q[0], x, qmask)
+            self._mark_value(rstate, path_init(q, self.g.n), x, qmask)
             return
-        pf[q] = (x, qmask)
+        rec = (x, qmask)
+        pf[q] = rstate.recs.setdefault(rec, rec)
         if forward:
             wire = (VAL_T, rstate.r, x, q, phase, m1, m2)
             if phase == 1:
@@ -288,10 +342,11 @@ class Node:
                 self.world.send_flood(
                     self.me,
                     [w for w in self.out_list if not m2 >> w & 1], wire)
-        key = (q[0], x)
-        bucket = rstate.by_init_value.get(key)
+        bits = self._bits
+        init = (q >> bits * ((q.bit_length() - 1) // bits)) - 1  # path_init
+        bucket = rstate.by_init_value.get((init, x))
         if bucket is None or qmask not in bucket:
-            self._mark_value(rstate, q[0], x, qmask)
+            self._mark_value(rstate, init, x, qmask)
         self._latch_scan(rstate, qmask)
 
     def _latch_scan(self, rstate, qmask):
@@ -461,21 +516,26 @@ class Node:
 
     def _filter_and_average(self, rstate, t: Thread):
         pf = rstate.path_first
-        # Bucket (path, mask) pairs by value; within a bucket paths are
-        # unique, so only the two boundary buckets ever need path order.
+        # Bucket keys by value; within a bucket keys are unique, so only the
+        # two boundary buckets ever need path order.  A duplicate-path key
+        # is in path_first too, whose record gives its node mask.
         groups: dict = {}
-        for p, (v, m) in pf.items():
+        for p, (v, _) in pf.items():
             gr = groups.get(v)
             if gr is None:
-                groups[v] = [(p, m)]
+                groups[v] = [p]
             else:
-                gr.append((p, m))
+                gr.append(p)
+        masks: dict = {}  # value -> node masks of its paths
+        for v, m in rstate.recs:
+            masks.setdefault(v, set()).add(m)
         for v, p in rstate.extras:
-            groups.setdefault(v, []).append((p, mask_of(p)))
+            groups.setdefault(v, []).append(p)
+            masks.setdefault(v, set()).add(pf[p][1])
         if not groups:
             raise ProtocolIntegrityError("empty message history at advance")
         vals = sorted(groups)
-        group_masks = [frozenset(m for _, m in groups[v]) for v in vals]
+        group_masks = [frozenset(masks[v]) for v in vals]
         cands = self._fa_cands
         glo, alive_lo = self._trim_scan(group_masks, cands, range(len(vals)))
         ghi, alive_hi = self._trim_scan(group_masks, cands,
@@ -484,29 +544,42 @@ class Node:
             raise ProtocolIntegrityError(
                 "filter-and-average trimmed the whole vector")
         lo_val, hi_val = vals[glo], vals[ghi]
-        lo_items = sorted(groups[lo_val])
-        hi_items = lo_items if glo == ghi else sorted(groups[hi_val])
+        # Sort a boundary bucket by path_order, inlined: (aligned key, mask)
+        # pairs, whose aligned keys order as the path tuples do.
+        bits = self._bits
+        width = 2 * self.g.n - 1
+        top = bits * width
+
+        def aligned(keys):
+            return sorted([(p << bits * (width - (p.bit_length() - 1) // bits),
+                            pf[p][1]) for p in keys])
+
+        lo_items = aligned(groups[lo_val])
+        hi_items = lo_items if glo == ghi else aligned(groups[hi_val])
         p_rel = self._prefix_cut(lo_items, alive_lo)
         s_rel = self._suffix_cut(hi_items, alive_hi)
         if glo == ghi and p_rel + s_rel >= len(lo_items):
             raise ProtocolIntegrityError(
                 "filter-and-average trims overlap")
-        survivors = set()
-        if glo == ghi:
-            for p, _ in lo_items[p_rel:len(lo_items) - s_rel]:
-                survivors.add((lo_val, p[0]))
-        else:
-            for p, _ in lo_items[p_rel:]:
-                survivors.add((lo_val, p[0]))
-            for p, _ in hi_items[:len(hi_items) - s_rel]:
-                survivors.add((hi_val, p[0]))
-            for gi in range(glo + 1, ghi):
-                v = vals[gi]
-                for p, _ in groups[v]:
-                    survivors.add((v, p[0]))
         init_values = {}
         for (init, val) in rstate.by_init_value:
             init_values.setdefault(init, set()).add(val)
+        # The initiator of an aligned key is its top digit.
+        survivors = set()
+        if glo == ghi:
+            for a, _ in lo_items[p_rel:len(lo_items) - s_rel]:
+                survivors.add((lo_val, (a >> top) - 1))
+        else:
+            for a, _ in lo_items[p_rel:]:
+                survivors.add((lo_val, (a >> top) - 1))
+            for a, _ in hi_items[:len(hi_items) - s_rel]:
+                survivors.add((hi_val, (a >> top) - 1))
+            # Every path of an inner bucket survives, and by_init_value
+            # holds one (initiator, value) entry per pair in the history.
+            inner = set(vals[glo + 1:ghi])
+            for init, val in rstate.by_init_value:
+                if val in inner:
+                    survivors.add((val, init))
         total = sum(len(gr) for gr in groups.values())
         lo_trim = sum(len(groups[vals[gi]]) for gi in range(glo)) + p_rel
         hi_trim = sum(len(groups[vals[gi]])

@@ -8,7 +8,9 @@ reliable but unordered; ordering guarantees come only from the protocol's
 own counters.
 
 Faulty nodes whose behaviour can never emit (`FaultPlan.inert`) are not
-simulated: deliveries to them are counted and traced, then discarded.
+simulated: deliveries to them are counted and traced, then discarded.  Sends
+that a faulty node's behaviour always drops (`FaultPlan.mute`) are dropped
+before interception.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from .conditions import check_k_reach
 from .errors import BudgetError, InvalidArgumentError
 from .graph import (DiGraph, _source_component_mask, mask_of, set_of,
                     subset_masks)
-from .protocol import COMP_T, VAL_T, Node
+from .protocol import COMP_T, VAL_T, Node, path_of
 
 
 # ---------------------------------------------------------------------------
@@ -138,6 +140,7 @@ class SimWorld:
         self.buckets: dict = {}
         self.times: list = []
         self.inert = plan.inert
+        self._mute = plan.mute
         self.deliveries = 0
         self.pending_honest = 0
         self.trace: Optional[list] = [] if collect_trace else None
@@ -176,6 +179,11 @@ class SimWorld:
     def send_flood(self, sender: int, dests, wire: tuple):
         """Send one wire message to several destinations."""
         if sender in self._faulty:
+            # A mute sender emits its own initial VALUEs (one-node keys are
+            # at most n) and nothing else.  Dropped sends draw no delay.
+            if sender in self._mute and not (
+                    wire[0] == VAL_T and wire[3] <= self.g.n):
+                return
             for dest in dests:
                 self.send(sender, dest, wire)
             return
@@ -221,13 +229,12 @@ class SimWorld:
                     handler(sender, m)
         self.deliveries = delivered
 
-    @staticmethod
-    def _trace_record(sender, dest, m, sent_at, t) -> dict:
+    def _trace_record(self, sender, dest, m, sent_at, t) -> dict:
         if m[0] == VAL_T:
             _, rnd, x, p = m[:4]
             return {"round": rnd, "kind": "value", "value": x,
-                    "path": list(p), "sender": sender, "receiver": dest,
-                    "send_time": sent_at, "deliver_time": t}
+                    "path": list(path_of(p, self.g.n)), "sender": sender,
+                    "receiver": dest, "send_time": sent_at, "deliver_time": t}
         _, rnd, init, k, payload, p = m
         return {"round": rnd, "kind": "complete", "init": init,
                 "fifo_counter": k, "claimed": sorted(set_of(

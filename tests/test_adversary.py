@@ -9,7 +9,7 @@ from reachcons import (Crash, DiGraph, Equivocate, ForgeComplete,
                        InvalidArgumentError, Silent, TamperForward,
                        builtin_plans, make_plan)
 from reachcons.adversary import PlanRuntime
-from reachcons.protocol import COMP_T, VAL_T
+from reachcons.protocol import COMP_T, VAL_T, path_key
 
 
 def clique(n):
@@ -25,11 +25,12 @@ def make_rt(behavior, node=3, g=K4):
 
 
 def init_wire(sender, x=0.5, rnd=0):
-    return (VAL_T, rnd, x, (sender,), 1, 1 << sender, 0)
+    return (VAL_T, rnd, x, path_key((sender,), 4), 1, 1 << sender, 0)
 
 
 def fwd_wire(sender, prev, x=0.5, rnd=0):
-    return (VAL_T, rnd, x, (prev, sender), 1, (1 << prev) | (1 << sender), 0)
+    return (VAL_T, rnd, x, path_key((prev, sender), 4), 1,
+            (1 << prev) | (1 << sender), 0)
 
 
 def test_plan_structure():
@@ -105,6 +106,10 @@ def test_intercept_rejects_paths_not_ending_at_sender():
     node = SimpleNamespace(fifo_sent=0)
     with pytest.raises(InvalidArgumentError):
         rt.intercept(3, 0, init_wire(1), node)
+    # Packed key (3, 1): the sender is on the path, but not its last hop.
+    with pytest.raises(InvalidArgumentError):
+        rt.intercept(3, 0, fwd_wire(1, 3), node)
+    assert rt.intercept(3, 0, fwd_wire(3, 1), node) == [fwd_wire(3, 1)]
 
 
 def test_builtin_plans_cover_the_named_set():
@@ -117,6 +122,17 @@ def test_builtin_plans_cover_the_named_set():
     assert plans2["crash-max"].faulty == {5, 6}
     assert plans2["split-brain"].faulty == {5, 6}
     assert len(plans2["equivocator"].faulty) == 1
+
+
+def test_mute_names_behaviors_that_emit_only_their_own_values():
+    plans = builtin_plans(clique(7), 2)
+    assert plans["split-brain"].mute == {5, 6}
+    assert plans["equivocator"].mute == {6}
+    assert plans["forger"].mute == {6}  # forwards nothing at n > 5
+    assert not plans["crash-min"].mute
+    assert builtin_plans(K4, 1)["forger"].mute == set()  # forwards at n <= 5
+    plan = make_plan("t", {0: Crash(3), 1: TamperForward(0.1), 2: Silent()})
+    assert not plan.mute
 
 
 def test_builtin_plans_fault_free_when_f_zero():

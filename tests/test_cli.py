@@ -1,5 +1,6 @@
 """Command line interface: exit codes, files, formats, env override."""
 
+import hashlib
 import json
 import os
 from itertools import permutations
@@ -140,6 +141,34 @@ def test_run_writes_trace(tmp_path):
     records = [json.loads(ln) for ln in
                (tmp_path / "trace.jsonl").read_text().splitlines()]
     assert records and {"kind", "sender", "receiver"} <= set(records[0])
+
+
+# SHA-256 of the JSONL trace that `reachcons run` writes for K4 at f = 1,
+# inputs [0, 1, 1, 0], UniformDelay(seed=3).  The trace spells every path
+# out as a node list, whatever form paths take on the wire.
+TRACE_PINS = {
+    "equivocator":
+        "5c75a3138081d1eaeef74837da98ecc38d27e654dcd280d2aa745ad670ddaca4",
+    "forger":
+        "39eaf07caccca16313439b57cef8313c69cee76149f484053a2b1cb6a930ded7",
+    "tamper":
+        "a428092a82915d8bbdd486f21e4cda93021f76dfe5380f1149838235f2b96b18",
+}
+
+
+@pytest.mark.parametrize("plan", sorted(TRACE_PINS))
+def test_run_trace_bytes_pinned(tmp_path, plan):
+    spec = {"name": plan}
+    if plan == "tamper":
+        spec["behaviors"] = {"3": {"kind": "tamper", "value_delta": 0.3}}
+    trace = tmp_path / "trace.jsonl"
+    cfg = ScenarioConfig(graph="builtin:k4", f=1,
+                         inputs=[0.0, 1.0, 1.0, 0.0], plan=spec, seed=3,
+                         trace=str(trace))
+    cpath = tmp_path / "scenario.json"
+    cpath.write_text(cfg.to_json())
+    assert main(["run", str(cpath), "--out", str(tmp_path / "m.csv")]) == 0
+    assert hashlib.sha256(trace.read_bytes()).hexdigest() == TRACE_PINS[plan]
 
 
 # ---------------------------------------------------------------------------

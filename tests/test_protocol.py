@@ -8,6 +8,8 @@ implementations and against hand-worked examples.
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reachcons import (DiGraph, ProtocolIntegrityError, TamperForward,
                        UniformDelay, builtin_plans, enumerate_redundant_paths,
@@ -15,7 +17,8 @@ from reachcons import (DiGraph, ProtocolIntegrityError, TamperForward,
 from reachcons.adversary import Crash
 from reachcons.graph import mask_of
 from reachcons.protocol import (Node, PayloadView, candidate_sets,
-                                completeness, filter_and_average)
+                                completeness, filter_and_average, path_init,
+                                path_key, path_last, path_of, path_order)
 from reachcons.simnet import thread_count
 from test_golden import delay_policy
 
@@ -45,6 +48,39 @@ def test_payload_view_lookup():
     assert p.value_for(0) == 0.5
     assert p.value_for(2) == 1.0
     assert p.value_for(1) is None
+
+
+# ---------------------------------------------------------------------------
+# Packed VALUE paths
+
+
+def paths(n):
+    """Node sequences of every length a redundant path can have."""
+    return st.lists(st.integers(0, n - 1), min_size=1,
+                    max_size=2 * n - 1).map(tuple)
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_path_key_round_trips(n, data):
+    p = data.draw(paths(n))
+    key = path_key(p, n)
+    assert path_of(key, n) == p
+    assert path_init(key, n) == p[0]
+    assert path_last(key, n) == p[-1]
+    # A key of at most n is exactly a one-node path.
+    assert (key <= n) == (len(p) == 1)
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_path_order_sorts_as_tuples(n, data):
+    ps = data.draw(st.lists(paths(n), max_size=30, unique=True))
+    keys = sorted((path_key(p, n) for p in ps),
+                  key=lambda k: path_order(k, n))
+    assert [path_of(k, n) for k in keys] == sorted(ps)
 
 
 # ---------------------------------------------------------------------------
@@ -177,10 +213,11 @@ def test_thread_latches_exactly_when_its_history_is_full(monkeypatch, plan):
     def counted_latch(self, rstate, t):
         seen.append((sum(1 for _, m in rstate.path_first.values()
                          if not m & t.fvmask), t.universe_total))
-        history = {(p[0], x) for p, (x, m) in rstate.path_first.items()
+        history = {(path_init(p, 4), x)
+                   for p, (x, m) in rstate.path_first.items()
                    if not m & t.fvmask}
-        history |= {(p[0], x) for x, p in rstate.extras
-                    if not mask_of(p) & t.fvmask}
+        history |= {(path_init(p, 4), x) for x, p in rstate.extras
+                    if not mask_of(path_of(p, 4)) & t.fvmask}
         assert t.consistent
         assert set(t.vals.items()) == history
         latch(self, rstate, t)

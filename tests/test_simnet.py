@@ -1,6 +1,7 @@
 """Simulator: delay policies, budgets, metrics, determinism, invariants."""
 
 import gc
+import tracemalloc
 from itertools import permutations
 
 import pytest
@@ -9,8 +10,9 @@ from reachcons import (BudgetError, Budgets, DiGraph, InvalidArgumentError,
                        RoundSkewDelay, TargetedSlowDelay, UniformDelay,
                        assert_round_invariants, builtin_plans, make_plan,
                        run)
-from reachcons.adversary import Crash, TamperForward
-from reachcons.protocol import Node
+from reachcons.adversary import (Crash, ForgeComplete, PlanRuntime,
+                                 TamperForward)
+from reachcons.protocol import VAL_T, Node
 from reachcons.simnet import rounds_to_output, thread_count
 
 
@@ -219,6 +221,62 @@ def test_finished_run_is_freed_by_reference_counting():
     finally:
         gc.enable()
     assert (after_return, after_raise) == (0, 0)
+
+
+def test_path_history_memory_per_entry(monkeypatch):
+    # A node keeps every path it has heard from in every round, so the
+    # history is the run's memory.  Paths are packed ints and a history
+    # shares one (value, mask) record per distinct pair: the whole run
+    # peaks at about 110 B per retained path_first entry, against about
+    # 220 B with tuple paths and a record per path.
+    nodes = []
+    init = Node.__init__
+
+    def recording_init(self, *args):
+        init(self, *args)
+        nodes.append(self)
+
+    monkeypatch.setattr(Node, "__init__", recording_init)
+    g = clique(6)
+    tracemalloc.start()
+    try:
+        run(g, [i / 5 for i in range(6)], 1, builtin_plans(g, 1)["crash-min"],
+            UniformDelay(seed=3), 1.0, 0.25)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    entries = sum(len(rs.path_first) for node in nodes
+                  for rs in node.rounds.values())
+    assert entries == 3 * 5 * 3201  # rounds x honest nodes x K5 paths
+    assert peak / entries <= 150
+
+
+@pytest.mark.parametrize("n,f,plan", [(4, 1, "equivocator"), (4, 1, "forge"),
+                                      (7, 2, "split-brain")])
+def test_mute_senders_are_intercepted_only_for_own_values(monkeypatch, n, f,
+                                                          plan):
+    # Equivocators and non-forwarding forgers drop every send but their own
+    # initial VALUEs, so only those reach the interceptor: one call per
+    # out-neighbour per round started.
+    g = clique(n)
+    plans = builtin_plans(g, f)
+    plans["forge"] = make_plan("forge", {3: ForgeComplete(
+        claimed=frozenset({0}), omit=1, forward=False)})
+    fp = plans[plan]
+    assert fp.mute == fp.faulty
+    calls = []
+    intercept = PlanRuntime.intercept
+
+    def spy(self, sender, dest, wire, node):
+        calls.append(wire)
+        return intercept(self, sender, dest, wire, node)
+
+    monkeypatch.setattr(PlanRuntime, "intercept", spy)
+    m = run(g, [i / (n - 1) for i in range(n)], f, fp, UniformDelay(seed=3),
+            1.0, 0.25)
+    assert assert_round_invariants(m).ok
+    assert all(w[0] == VAL_T and w[3] <= n for w in calls)
+    assert 0 < len(calls) <= len(fp.mute) * (n - 1) * m.r_out
 
 
 # ---------------------------------------------------------------------------
