@@ -7,6 +7,15 @@ without asking it.  A VALUE wire carries its path as a packed key (see
 `protocol.path_key`), a COMPLETE wire as a tuple.  No behavior may
 emit a path whose last hop is not the sender itself; that rule is enforced
 structurally on every emission.
+
+Every emission of a faulty node passes through `PlanRuntime.intercept`, so
+that is where forged VALUE keys are checked: it replaces the walk state a
+VALUE wire claims with the greedy parse of its key, or with phase 0 when the
+key is not a redundant path of the graph, which receivers drop.  An honest
+sender's state is the parse already (it extends a state that was checked
+one hop upstream), so receivers trust wire states and never reparse a key;
+the flood's millions of honest deliveries pay nothing for the check.
+COMPLETE paths are few, and receivers check them (`protocol.Node`).
 """
 
 from __future__ import annotations
@@ -15,8 +24,8 @@ from dataclasses import dataclass, field
 from typing import Dict
 
 from .errors import InvalidArgumentError
-from .graph import DiGraph, mask_of
-from .protocol import COMP_T, VAL_T, PayloadView, path_last
+from .graph import DiGraph, _walk_state, mask_of
+from .protocol import COMP_T, VAL_T, PayloadView, path_last, path_of
 
 
 @dataclass(frozen=True)
@@ -131,13 +140,21 @@ class PlanRuntime:
         }
 
     def intercept(self, sender: int, dest: int, wire: tuple, node) -> list:
-        out = self._apply(sender, dest, wire, node)
-        n = self.g.n
-        for m in out:
-            last = path_last(m[3], n) if m[0] == VAL_T else m[5][-1]
+        """The sender's emissions for one send.  Each VALUE leaves with the
+        walk state of its key, (0, 0, 0) if the key is not a redundant
+        path."""
+        g = self.g
+        out = []
+        for m in self._apply(sender, dest, wire, node):
+            value = m[0] == VAL_T
+            last = path_last(m[3], g.n) if value else m[5][-1]
             if last != sender:
                 raise InvalidArgumentError(
                     "adversary emitted a path not ending at the sender")
+            if value:
+                state = _walk_state(g, path_of(m[3], g.n))
+                m = m[:4] + (state[:3] if state else (0, 0, 0))
+            out.append(m)
         return out
 
     def _apply(self, sender: int, dest: int, wire: tuple, node) -> list:

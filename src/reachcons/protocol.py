@@ -27,16 +27,21 @@ from typing import Optional
 
 from .errors import ProtocolIntegrityError
 from .graph import (DiGraph, count_redundant_paths, count_simple_paths,
-                    has_f_cover, mask_of, set_of, source_component,
-                    subset_masks, _source_component_mask, _reach_mask)
+                    has_f_cover, is_simple_path, mask_of, set_of,
+                    source_component, subset_masks, _source_component_mask,
+                    _reach_mask)
 from .messaging import MessageSet
 
 # Wire tags.  VALUE: (VAL_T, round, value, key, phase, m1, m2) where key is
 # the packed path and (phase, m1, m2) its walk state: phase 1 while the walk is
 # still simple with visited-mask m1, phase 2 once the second segment is open
-# with visited-mask m2.  Receivers verify that m1|m2 matches the path's node
-# set and extend the state in constant time; a forged state can only make a
-# faulty sender's own paths misbehave, and those paths carry the sender's id.
+# with visited-mask m2, and phase 0 for a key that is not a redundant path.
+# Receivers extend the state by one hop instead of parsing the key, so the
+# state must be exact: a faulty sender claiming an understated mask, or
+# sending a key that is no redundant path, could otherwise make honest threads
+# count it as one of their paths and latch before their history is full.
+# Honest senders extend exact states, and `PlanRuntime.intercept` sets the
+# parsed state on every faulty emission.
 # COMPLETE: (COMP_T, round, init, counter, payload, path).
 VAL_T = 0
 COMP_T = 1
@@ -198,9 +203,11 @@ class Node:
                 (idx, fv, fvmask, _reach_mask(g, me, fvmask),
                  count_redundant_paths(g, fvmask)[me]))
         self._avoid_cache = {}  # path mask -> indices of threads it avoids
+        self._fwd2 = {}  # phase-2 mask m2 -> out-neighbours outside it
         full = g.full_mask & ~(1 << me)
         self._fa_cands = world.cover_cands(full)
         self._bits = g.n.bit_length()  # bits per digit of a packed path
+        self._hop = (1 << self._bits) - 1  # the last digit of a packed path
 
     # -- helpers -----------------------------------------------------------
 
@@ -245,13 +252,10 @@ class Node:
         threads = [Thread(*tpl) for tpl in self._templates]
         rstate = RoundState(r, threads)
         self.rounds[r] = rstate
-        x = self.x[r]
-        me = self.me
-        # Self-delivery of the single-node path, then the value flood.
-        self._receive_value(rstate, x, me + 1, 1 << me, 1, 1 << me, 0,
-                            forward=False)
-        wire = (VAL_T, r, x, me + 1, 1, 1 << me, 0)
-        self.world.send_flood(me, self.out_list, wire)
+        # The own value arrives on the empty path; extended by this node it
+        # is the one-node path, recorded and flooded.
+        self._receive_value(rstate, self.me,
+                            (VAL_T, r, self.x[r], 0, 1, 0, 0))
         self._sweep(rstate)
         for sender, msg in self.future.pop(r, ()):
             self.on_deliver(sender, msg)
@@ -260,46 +264,24 @@ class Node:
 
     def on_deliver(self, sender: int, msg: tuple):
         if msg[0] == VAL_T:
-            _, rnd, x, p, phase, m1, m2 = msg
-            bits = self._bits
-            if p & ((1 << bits) - 1) != sender + 1:  # path_last(p) != sender
+            # The last hop must be the sender; phase 0 marks a key that is
+            # not a redundant path.
+            if msg[3] & self._hop != sender + 1 or not msg[4]:
                 return
+            rnd = msg[1]
             if rnd > self.round:
                 self.future.setdefault(rnd, []).append((sender, msg))
                 return
             rstate = self.rounds.get(rnd)
             if rstate is None:
                 return
-            # Extend the walk state by one hop.  The last-hop edge and the
-            # sender's presence in the claimed node mask are checked here;
-            # everything upstream was checked by the honest nodes that
-            # appended themselves.  A faulty sender understating the mask of
-            # its own fabricated prefix is indistinguishable from it
-            # fabricating a different prefix outright, which the model
-            # permits anyway; either way its own id stays in the mask.
-            me = self.me
-            qm = m1 | m2
-            if (qm >> self.g.n or not qm >> sender & 1
-                    or not self.g.out_masks[sender] >> me & 1):
-                return
-            bit = 1 << me
-            if phase == 1:
-                if m1 & bit:
-                    phase = 2
-                    m2 = (1 << sender) | bit
-                else:
-                    m1 |= bit
-            else:
-                if m2 & bit:
-                    return
-                m2 |= bit
-            self._receive_value(rstate, x, p << bits | (me + 1), qm | bit,
-                                phase, m1, m2, forward=True)
+            self._receive_value(rstate, sender, msg)
             if rstate.dirty and not rstate.nextround:
                 self._sweep(rstate)
         else:
             _, rnd, init, k, payload, p = msg
-            if p[-1] != sender or p[0] != init:
+            if (p[-1] != sender or p[0] != init
+                    or not is_simple_path(self.g, p)):
                 return
             if self._note_counter(init, k):
                 self._wake_all()
@@ -323,27 +305,44 @@ class Node:
 
     # -- value recording ---------------------------------------------------
 
-    def _receive_value(self, rstate, x, q, qmask, phase, m1, m2, forward):
+    def _receive_value(self, rstate, sender, msg):
+        """Extend a VALUE wire's path and walk state by this node, record
+        the path, forward it if new, and count it against its threads."""
+        _, r, x, p, phase, m1, m2 = msg
+        me = self.me
+        bit = 1 << me
+        if phase == 1:
+            if m1 & bit:
+                phase = 2
+                m2 = (1 << sender) | bit
+            else:
+                m1 |= bit
+        elif m2 & bit:
+            return
+        else:
+            m2 |= bit
+        bits = self._bits
+        q = p << bits | (me + 1)
+        qmask = m1 | m2
+        init = (q >> bits * ((q.bit_length() - 1) // bits)) - 1  # path_init
         pf = rstate.path_first
         prior = pf.get(q)
         if prior is not None:
             if prior[0] == x or (x, q) in rstate.extras:
                 return
             rstate.extras.add((x, q))
-            self._mark_value(rstate, path_init(q, self.g.n), x, qmask)
+            self._mark_value(rstate, init, x, qmask)
             return
         rec = (x, qmask)
         pf[q] = rstate.recs.setdefault(rec, rec)
-        if forward:
-            wire = (VAL_T, rstate.r, x, q, phase, m1, m2)
-            if phase == 1:
-                self.world.send_flood(self.me, self.out_list, wire)
-            else:
-                self.world.send_flood(
-                    self.me,
-                    [w for w in self.out_list if not m2 >> w & 1], wire)
-        bits = self._bits
-        init = (q >> bits * ((q.bit_length() - 1) // bits)) - 1  # path_init
+        if phase == 1:
+            dests = self.out_list
+        else:
+            dests = self._fwd2.get(m2)
+            if dests is None:
+                dests = self._fwd2[m2] = [w for w in self.out_list
+                                          if not m2 >> w & 1]
+        self.world.send_flood(me, dests, (VAL_T, r, x, q, phase, m1, m2))
         bucket = rstate.by_init_value.get((init, x))
         if bucket is None or qmask not in bucket:
             self._mark_value(rstate, init, x, qmask)
@@ -352,8 +351,11 @@ class Node:
     def _latch_scan(self, rstate, qmask):
         """Count a new distinct path against every thread it avoids; a
         thread latches once none of its paths is missing, if consistent."""
+        ids = self._avoid_cache.get(qmask)
+        if ids is None:
+            ids = self._avoid_threads(qmask)
         threads = rstate.threads
-        for ti in self._avoid_threads(qmask):
+        for ti in ids:
             t = threads[ti]
             t.missing -= 1
             if not t.missing and t.consistent:

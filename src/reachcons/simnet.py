@@ -8,9 +8,11 @@ reliable but unordered; ordering guarantees come only from the protocol's
 own counters.
 
 Faulty nodes whose behaviour can never emit (`FaultPlan.inert`) are not
-simulated: deliveries to them are counted and traced, then discarded.  Sends
-that a faulty node's behaviour always drops (`FaultPlan.mute`) are dropped
-before interception.
+simulated: deliveries to them are counted and traced, then discarded.  In an
+untraced run such a send still draws its delay, so the random stream and the
+delivery count stay exact, but it joins its bucket as None.  Sends that a
+faulty node's behaviour always drops (`FaultPlan.mute`) are dropped before
+interception.
 """
 
 from __future__ import annotations
@@ -136,10 +138,12 @@ class SimWorld:
         self._delay = delay.delay
         self.time = 0
         # deliver time -> [(sender, dest, wire, sent_at)] in send order, and
-        # a heap of the distinct deliver times.
+        # a heap of the distinct deliver times.  A send to a node in _sink
+        # is queued as None.
         self.buckets: dict = {}
         self.times: list = []
         self.inert = plan.inert
+        self._sink = frozenset() if collect_trace else self.inert
         self._mute = plan.mute
         self.deliveries = 0
         self.pending_honest = 0
@@ -166,6 +170,7 @@ class SimWorld:
         # Appending to the bucket of the delivery time keeps send order
         # within a time; the heap holds each distinct time once.
         now = self.time
+        sink = dest in self._sink
         for m in (self.plan_rt.intercept(sender, dest, wire,
                                          self.nodes[sender])
                   if sender in self._faulty else (wire,)):
@@ -174,7 +179,7 @@ class SimWorld:
             if bucket is None:
                 bucket = self.buckets[t] = []
                 heapq.heappush(self.times, t)
-            bucket.append((sender, dest, m, now))
+            bucket.append(None if sink else (sender, dest, m, now))
 
     def send_flood(self, sender: int, dests, wire: tuple):
         """Send one wire message to several destinations."""
@@ -190,13 +195,14 @@ class SimWorld:
         now = self.time
         buckets = self.buckets
         delay = self._delay
+        sink = self._sink
         for dest in dests:
             t = now + delay(sender, dest)
             bucket = buckets.get(t)
             if bucket is None:
                 bucket = buckets[t] = []
                 heapq.heappush(self.times, t)
-            bucket.append((sender, dest, wire, now))
+            bucket.append(None if dest in sink else (sender, dest, wire, now))
 
     def run_loop(self, budget: int):
         # Deliveries to inert nodes are counted and traced, not handled.
@@ -211,7 +217,7 @@ class SimWorld:
             self.time = t = pop(times)
             # A send to time t while this bucket drains would open a fresh
             # bucket for t, popped next: the order stays exact.
-            for sender, dest, m, sent_at in buckets.pop(t):
+            for event in buckets.pop(t):
                 if self.pending_honest <= 0:
                     self.deliveries = delivered
                     return
@@ -221,6 +227,9 @@ class SimWorld:
                     raise BudgetError(
                         f"delivery budget of {budget} exceeded; the flood on "
                         f"this graph is too large for explicit simulation")
+                if event is None:
+                    continue
+                sender, dest, m, sent_at = event
                 if trace is not None:
                     trace.append(
                         self._trace_record(sender, dest, m, sent_at, t))

@@ -1,15 +1,19 @@
 """Fault plans and the send interceptor."""
 
-from itertools import permutations
+from itertools import permutations, product
 from types import SimpleNamespace
 
 import pytest
 
 from reachcons import (Crash, DiGraph, Equivocate, ForgeComplete,
                        InvalidArgumentError, Silent, TamperForward,
-                       builtin_plans, make_plan)
+                       UniformDelay, assert_round_invariants, builtin_plans,
+                       enumerate_redundant_paths, is_redundant_path,
+                       make_plan, run)
 from reachcons.adversary import PlanRuntime
-from reachcons.protocol import COMP_T, VAL_T, path_key
+from reachcons.graph import _walk_state
+from reachcons.protocol import COMP_T, VAL_T, Node, path_key, path_of
+from test_golden import K4_INPUTS, K4_PINS, K7_INPUTS, delay_policy
 
 
 def clique(n):
@@ -112,6 +116,18 @@ def test_intercept_rejects_paths_not_ending_at_sender():
     assert rt.intercept(3, 0, fwd_wire(3, 1), node) == [fwd_wire(3, 1)]
 
 
+def test_intercept_sets_the_walk_state_of_each_value_key():
+    rt = make_rt(Crash(5))
+    node = SimpleNamespace(fifo_sent=0)
+    key = path_key((0, 1, 3), 4)
+    # A real key with an understated mask leaves with its parsed state.
+    out = rt.intercept(3, 0, (VAL_T, 0, 0.5, key, 1, 1 << 3, 0), node)
+    assert out == [(VAL_T, 0, 0.5, key, 1, 0b1011, 0)]
+    # A key that is not a redundant path (3 -> 3 is no edge) gets phase 0.
+    junk = (VAL_T, 0, 0.5, path_key((3, 3), 4), 1, 1 << 3, 0)
+    assert rt.intercept(3, 0, junk, node) == [junk[:4] + (0, 0, 0)]
+
+
 def test_builtin_plans_cover_the_named_set():
     plans = builtin_plans(K4, 1)
     assert sorted(plans) == ["crash-max", "crash-min", "equivocator",
@@ -138,3 +154,152 @@ def test_mute_names_behaviors_that_emit_only_their_own_values():
 def test_builtin_plans_fault_free_when_f_zero():
     plans = builtin_plans(K4, 0)
     assert all(not p.faulty for p in plans.values())
+
+
+# ---------------------------------------------------------------------------
+# Forged VALUE prefixes, checked where they enter
+
+
+def forged_keys(g, v, repro):
+    """Keys a faulty node `v` adds to its own round-start VALUEs.
+
+    Repro A: every node sequence of length 4 or 5 ending at v that is not a
+    redundant path of g.  Repro B: every real redundant path of length at
+    least 2 ending at v.  Either way the forger claims the walk state
+    (1, {v}, 0), which understates the mask of every real key.
+    """
+    n = g.n
+    if repro == "A":
+        seqs = (s + (v,) for size in (3, 4)
+                for s in product(range(n), repeat=size))
+        return [path_key(s, n) for s in seqs if not is_redundant_path(g, s)]
+    return [path_key(p.nodes, n)
+            for p in enumerate_redundant_paths(g, frozenset(), v)
+            if len(p.nodes) >= 2]
+
+
+def forge_prefixes(monkeypatch, keys, forger=3):
+    """Make `forger` send one extra VALUE per key with each of its own
+    round-start VALUEs, carrying its own value."""
+    apply = PlanRuntime._apply
+
+    def forging(self, sender, dest, wire, node):
+        out = apply(self, sender, dest, wire, node)
+        if sender == forger and wire[0] == VAL_T and wire[3] <= self.g.n:
+            out = out + [(VAL_T, wire[1], wire[2], k, 1, 1 << forger, 0)
+                         for k in keys]
+        return out
+
+    monkeypatch.setattr(PlanRuntime, "_apply", forging)
+
+
+def check_wire_states(monkeypatch, g):
+    """Check every VALUE handed to a receiver: its (phase, m1, m2) is the
+    walk state of its key, or (0, 0, 0) exactly when the key is not a
+    redundant path of g.  Returns the list of checked wires' phases."""
+    deliver = Node.on_deliver
+    phases = []
+
+    def checked(self, sender, msg):
+        if msg[0] == VAL_T:
+            state = _walk_state(g, path_of(msg[3], g.n))
+            assert msg[4:] == (state[:3] if state else (0, 0, 0))
+            phases.append(msg[4])
+        deliver(self, sender, msg)
+
+    monkeypatch.setattr(Node, "on_deliver", checked)
+    return phases
+
+
+REPRO_PLAN = make_plan("tamper", {3: TamperForward(0.0)})
+
+
+def test_forged_key_counts():
+    assert len(forged_keys(K4, 3, "A")) == 248
+    assert len(forged_keys(K4, 3, "B")) == 180
+
+
+@pytest.mark.parametrize("repro", ["A", "B"])
+@pytest.mark.parametrize("seed", range(5))
+def test_forged_prefixes_cannot_fill_a_thread(monkeypatch, repro, seed):
+    # Forged keys that are not redundant paths, or real keys with an
+    # understated node mask, used to make honest threads "full" early and
+    # stall every run.  The boundary check gives them their true state.
+    forge_prefixes(monkeypatch, forged_keys(K4, 3, repro))
+    m = run(K4, [0.0, 1.0, 1.0, 0.0], 1, REPRO_PLAN, UniformDelay(seed=seed),
+            1.0, 0.25)
+    assert not m.stalled
+    assert all(m.outputs[v] is not None for v in m.honest)
+    assert assert_round_invariants(m).ok
+
+
+WIRE_CASES = ([("golden", plan, di) for plan, di in sorted(K4_PINS)]
+              + [("repro", r, seed) for r in "AB" for seed in range(5)])
+
+
+@pytest.mark.parametrize("case,plan,di", WIRE_CASES)
+def test_delivered_wire_states_are_walk_states(monkeypatch, case, plan, di):
+    # Receivers extend the wire's state instead of parsing the key, so the
+    # state an honest sender extends, and the one the boundary check sets
+    # on a faulty emission, must both equal the parse.
+    phases = check_wire_states(monkeypatch, K4)
+    if case == "golden":
+        run(K4, K4_INPUTS, 1, builtin_plans(K4, 1)[plan],
+            delay_policy(di, 4), 1.0, 0.25)
+    else:
+        forge_prefixes(monkeypatch, forged_keys(K4, 3, plan))
+        run(K4, [0.0, 1.0, 1.0, 0.0], 1, REPRO_PLAN, UniformDelay(seed=di),
+            1.0, 0.25)
+    assert phases
+    # Only repro A forges keys that are not redundant paths.
+    assert (0 in phases) == (plan == "A")
+
+
+def is_simple_path(g, p):
+    return len(set(p)) == len(p) and all(
+        g.has_edge(u, v) for u, v in zip(p, p[1:]))
+
+
+def test_junk_complete_paths_are_dropped(monkeypatch):
+    # Node 3 relays every COMPLETE honestly and also with junk paths: one
+    # that repeats a node and one that ends on a self-loop.  No receiver
+    # counts a path that is not a simple path of g.
+    apply = PlanRuntime._apply
+
+    def junk(self, sender, dest, wire, node):
+        out = apply(self, sender, dest, wire, node)
+        if sender == 3 and wire[0] == COMP_T:
+            p = wire[5]
+            out = out + [wire[:5] + (p + (p[0], 3),),
+                         wire[:5] + (p + (3,),)]
+        return out
+
+    counted = []
+    receive = Node._receive_complete
+
+    def spy(self, rstate, q, init, k, payload):
+        counted.append(q)
+        return receive(self, rstate, q, init, k, payload)
+
+    monkeypatch.setattr(PlanRuntime, "_apply", junk)
+    monkeypatch.setattr(Node, "_receive_complete", spy)
+    for seed in range(5):
+        m = run(K4, [0.0, 1.0, 1.0, 0.0], 1, REPRO_PLAN,
+                UniformDelay(seed=seed), 1.0, 0.25)
+        assert not m.stalled
+        assert assert_round_invariants(m).ok
+    assert counted
+    assert all(is_simple_path(K4, q) for q in counted)
+
+
+def test_relaying_adversary_at_f2(monkeypatch):
+    # K7 at f = 2 with one crashed node and one that tampers with every
+    # value it relays: the boundary check runs on each relayed key.
+    g = clique(7)
+    plan = make_plan("relay", {5: Crash(0), 6: TamperForward(0.3)})
+    phases = check_wire_states(monkeypatch, g)
+    m = run(g, K7_INPUTS, 2, plan, UniformDelay(seed=3), 1.0, 0.25)
+    assert not m.stalled
+    assert assert_round_invariants(m).ok
+    assert m.deliveries == 1_123_003
+    assert phases and 0 not in phases

@@ -20,6 +20,7 @@ from reachcons.protocol import (Node, PayloadView, candidate_sets,
                                 completeness, filter_and_average, path_init,
                                 path_key, path_last, path_of, path_order)
 from reachcons.simnet import thread_count
+from test_adversary import REPRO_PLAN, forge_prefixes, forged_keys
 from test_golden import delay_policy
 
 
@@ -199,20 +200,27 @@ def test_outputs_equal_midpoint_of_final_record():
 # Latch timing
 
 
-@pytest.mark.parametrize("plan", sorted(builtin_plans(K4, 1)) + ["tamper"])
+@pytest.mark.parametrize("plan",
+                         sorted(builtin_plans(K4, 1)) + ["tamper", "repro-A"])
 def test_thread_latches_exactly_when_its_history_is_full(monkeypatch, plan):
     # A thread latches on the delivery that completes its F-avoiding
-    # history: at that moment it holds every one of its redundant paths,
-    # and its values are exactly those that history carries, one per
-    # initiator.
+    # history: at that moment it holds exactly its redundant paths, and its
+    # values are exactly those that history carries, one per initiator.
+    # Repro A's forger sends keys that are not redundant paths.
     plans = builtin_plans(K4, 1)
     plans["tamper"] = make_plan("tamper", {3: TamperForward(0.3)})
+    plans["repro-A"] = REPRO_PLAN
+    if plan == "repro-A":
+        forge_prefixes(monkeypatch, forged_keys(K4, 3, "A"))
     latch = Node._latch
     seen = []
 
     def counted_latch(self, rstate, t):
-        seen.append((sum(1 for _, m in rstate.path_first.values()
-                         if not m & t.fvmask), t.universe_total))
+        keys = {p for p, (_, m) in rstate.path_first.items()
+                if not m & t.fvmask}
+        assert keys == {path_key(p.nodes, 4) for p in
+                        enumerate_redundant_paths(K4, t.fvset, self.me)}
+        seen.append((len(keys), t.universe_total))
         history = {(path_init(p, 4), x)
                    for p, (x, m) in rstate.path_first.items()
                    if not m & t.fvmask}
