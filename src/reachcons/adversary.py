@@ -20,6 +20,7 @@ COMPLETE paths are few, and receivers check them (`protocol.Node`).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict
 
@@ -120,16 +121,26 @@ class PlanRuntime:
 
     def __init__(self, plan: FaultPlan, g: DiGraph):
         for v, b in plan.behaviors:
-            named = [v]
+            named, values = [v], []
             if isinstance(b, ForgeComplete):
                 named += [b.omit, *b.claimed]
+                values.append(b.forged_value)
             elif isinstance(b, Equivocate):
                 named += [w for w, _ in b.values]
+                values += [x for _, x in b.values]
+            elif isinstance(b, TamperForward):
+                values.append(b.value_delta)
             for w in named:
                 if w not in g.nodes:
                     raise InvalidArgumentError(
                         f"plan for node {v!r} names node {w!r}, outside "
                         f"the graph's {g.n} nodes")
+            for x in values:
+                if not (isinstance(x, (int, float))
+                        and not isinstance(x, bool) and math.isfinite(x)):
+                    raise InvalidArgumentError(
+                        f"plan for node {v!r} sets a value of {x!r}, not "
+                        f"a finite real")
         self.g = g
         self.sent = {v: 0 for v in plan.faulty}
         self._behaviors = dict(plan.behaviors)
@@ -138,6 +149,9 @@ class PlanRuntime:
             v: dict(b.values) for v, b in plan.behaviors
             if isinstance(b, Equivocate)
         }
+        # A flood hands one wire to every out-neighbour in turn, so the last
+        # key parsed is the next one asked for: (key, wire state).
+        self._last_parse = (None, None)
 
     def intercept(self, sender: int, dest: int, wire: tuple, node) -> list:
         """The sender's emissions for one send.  Each VALUE leaves with the
@@ -152,8 +166,13 @@ class PlanRuntime:
                 raise InvalidArgumentError(
                     "adversary emitted a path not ending at the sender")
             if value:
-                state = _walk_state(g, path_of(m[3], g.n))
-                m = m[:4] + (state[:3] if state else (0, 0, 0))
+                key, state = self._last_parse
+                if key != m[3]:
+                    key = m[3]
+                    state = _walk_state(g, path_of(key, g.n))
+                    state = state[:3] if state else (0, 0, 0)
+                    self._last_parse = (key, state)
+                m = m[:4] + state
             out.append(m)
         return out
 

@@ -208,28 +208,45 @@ def _execute(config: ScenarioConfig, seed: int, force: bool,
     g = load_graph(config.graph)
     plan = build_plan(config.plan, g, config.f, config.K)
     delay = build_delay(config.delay, seed)
-    metrics = simnet.run(g, config.inputs, config.f, plan, delay,
-                         config.K, config.eps, budgets=budgets,
-                         collect_trace=config.trace is not None)
-    if not (metrics.three_reach or force):
+    # Refuse before simulating, but after the checks that the run makes
+    # first, so each input keeps its exit code.
+    simnet.admit(g, config.inputs, config.f, config.K, config.eps, budgets)
+    if not (force or conditions.check_k_reach(g, config.f, 3).holds):
         raise InvalidArgumentError(
             "graph fails the 3-reach condition for this f; "
             "rerun with --force to proceed with guarantees void")
-    return metrics
+    args = (g, config.inputs, config.f, plan, delay, config.K, config.eps)
+    if config.trace is None:
+        return simnet.run(*args, budgets=budgets)
+    with _trace_file(config.trace) as write:
+        return simnet.run(*args, budgets=budgets, trace=write)
 
 
-def _emit_run(metrics: simnet.RunMetrics, config: ScenarioConfig,
-              out_path: Optional[str]) -> int:
+@contextmanager
+def _trace_file(path: str):
+    """Yield the write method of the trace file at path.  A run that does
+    not finish leaves no trace file behind."""
+    try:
+        fh = open(path, "w")
+    except OSError as e:
+        raise InvalidArgumentError(f"cannot write trace {path!r}: {e}") from e
+    try:
+        with fh:
+            yield fh.write
+    except BaseException:
+        # Only a regular file is removed, never a device or a symlink.
+        if os.path.isfile(path) and not os.path.islink(path):
+            os.unlink(path)
+        raise
+
+
+def _emit_run(metrics: simnet.RunMetrics, out_path: Optional[str]) -> int:
     csv = metrics_csv(metrics)
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(csv)
     else:
         sys.stdout.write(csv)
-    if config.trace is not None and metrics.trace is not None:
-        with open(config.trace, "w") as fh:
-            for rec in metrics.trace:
-                fh.write(json.dumps(rec, sort_keys=True) + "\n")
     if not metrics.three_reach:
         print("warning: 3-reach fails; guarantees void", file=sys.stderr)
     report = simnet.assert_round_invariants(metrics)
@@ -275,7 +292,7 @@ def cmd_run(args) -> int:
     if args.out:
         config.out = args.out
     metrics = _execute(config, _seed_of(config), args.force, _budgets(args))
-    return _emit_run(metrics, config, config.out)
+    return _emit_run(metrics, config.out)
 
 
 def cmd_sweep(args) -> int:

@@ -8,11 +8,14 @@ reliable but unordered; ordering guarantees come only from the protocol's
 own counters.
 
 Faulty nodes whose behaviour can never emit (`FaultPlan.inert`) are not
-simulated: deliveries to them are counted and traced, then discarded.  In an
-untraced run such a send still draws its delay, so the random stream and the
-delivery count stay exact, but it joins its bucket as None.  Sends that a
-faulty node's behaviour always drops (`FaultPlan.mute`) are dropped before
-interception.
+simulated: deliveries to them are counted and traced, then discarded.  Such
+a send still draws its delay, so the random stream and the delivery count
+stay exact, but it joins its bucket as None, followed in a traced run by
+only the fields its trace line needs.  Sends that a faulty node's behaviour
+always drops (`FaultPlan.mute`) are dropped before interception.
+
+A traced run hands each delivery's JSONL line to the trace callable as the
+delivery happens, so no record outlives its delivery.
 """
 
 from __future__ import annotations
@@ -21,14 +24,15 @@ import heapq
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from itertools import islice
+from typing import Callable, Dict, List, Optional
 
 from .adversary import FaultPlan, PlanRuntime
 from .conditions import check_k_reach
 from .errors import BudgetError, InvalidArgumentError
 from .graph import (DiGraph, _source_component_mask, mask_of, set_of,
                     subset_masks)
-from .protocol import COMP_T, VAL_T, Node, path_of
+from .protocol import VAL_T, Node, path_of
 
 
 # ---------------------------------------------------------------------------
@@ -111,7 +115,6 @@ class RunMetrics:
     latches: dict = field(default_factory=dict)  # (node, round, fv) -> payload
     stalled: bool = False
     deliveries: int = 0
-    trace: Optional[list] = None
 
     @property
     def honest(self) -> list:
@@ -129,7 +132,7 @@ class RunMetrics:
 
 class SimWorld:
     def __init__(self, g: DiGraph, f: int, r_out: int, plan: FaultPlan,
-                 delay, collect_trace: bool):
+                 delay, trace: Optional[Callable[[str], object]]):
         self.g = g
         self.f = f
         self.r_out = r_out
@@ -138,16 +141,16 @@ class SimWorld:
         self._delay = delay.delay
         self.time = 0
         # deliver time -> [(sender, dest, wire, sent_at)] in send order, and
-        # a heap of the distinct deliver times.  A send to a node in _sink
-        # is queued as None.
+        # a heap of the distinct deliver times.  A send to an inert node is
+        # queued as None; a traced run follows it with what its trace line
+        # needs (_queue_traced_inert).
         self.buckets: dict = {}
         self.times: list = []
         self.inert = plan.inert
-        self._sink = frozenset() if collect_trace else self.inert
         self._mute = plan.mute
         self.deliveries = 0
         self.pending_honest = 0
-        self.trace: Optional[list] = [] if collect_trace else None
+        self.trace = trace
         self._cover_cands: dict = {}
         self.all_candidate_masks = tuple(sorted(subset_masks(g.n, f)))
         self.nodes: List[Node] = []
@@ -170,7 +173,8 @@ class SimWorld:
         # Appending to the bucket of the delivery time keeps send order
         # within a time; the heap holds each distinct time once.
         now = self.time
-        sink = dest in self._sink
+        inert = dest in self.inert
+        traced = self.trace is not None
         for m in (self.plan_rt.intercept(sender, dest, wire,
                                          self.nodes[sender])
                   if sender in self._faulty else (wire,)):
@@ -179,7 +183,12 @@ class SimWorld:
             if bucket is None:
                 bucket = self.buckets[t] = []
                 heapq.heappush(self.times, t)
-            bucket.append(None if sink else (sender, dest, m, now))
+            if not inert:
+                bucket.append((sender, dest, m, now))
+            elif traced:
+                self._queue_traced_inert(bucket, sender, dest, m, now)
+            else:
+                bucket.append(None)
 
     def send_flood(self, sender: int, dests, wire: tuple):
         """Send one wire message to several destinations."""
@@ -195,14 +204,20 @@ class SimWorld:
         now = self.time
         buckets = self.buckets
         delay = self._delay
-        sink = self._sink
+        inert = self.inert
+        traced = self.trace is not None
         for dest in dests:
             t = now + delay(sender, dest)
             bucket = buckets.get(t)
             if bucket is None:
                 bucket = buckets[t] = []
                 heapq.heappush(self.times, t)
-            bucket.append(None if dest in sink else (sender, dest, wire, now))
+            if dest not in inert:
+                bucket.append((sender, dest, wire, now))
+            elif traced:
+                self._queue_traced_inert(bucket, sender, dest, wire, now)
+            else:
+                bucket.append(None)
 
     def run_loop(self, budget: int):
         # Deliveries to inert nodes are counted and traced, not handled.
@@ -217,7 +232,8 @@ class SimWorld:
             self.time = t = pop(times)
             # A send to time t while this bucket drains would open a fresh
             # bucket for t, popped next: the order stays exact.
-            for event in buckets.pop(t):
+            events = iter(buckets.pop(t))
+            for event in events:
                 if self.pending_honest <= 0:
                     self.deliveries = delivered
                     return
@@ -228,28 +244,54 @@ class SimWorld:
                         f"delivery budget of {budget} exceeded; the flood on "
                         f"this graph is too large for explicit simulation")
                 if event is None:
+                    if trace is not None:
+                        trace(self._traced_inert_line(events, t))
                     continue
                 sender, dest, m, sent_at = event
                 if trace is not None:
-                    trace.append(
-                        self._trace_record(sender, dest, m, sent_at, t))
+                    trace(self._trace_record(sender, dest, m, sent_at, t))
                 handler = handlers[dest]
                 if handler is not None:
                     handler(sender, m)
         self.deliveries = delivered
 
-    def _trace_record(self, sender, dest, m, sent_at, t) -> dict:
+    @staticmethod
+    def _queue_traced_inert(bucket: list, sender, dest, wire, now):
+        # None, then the fields flat: no tuple per send, and no wire kept
+        # alive after its handled deliveries.  A VALUE line needs only the
+        # wire's first four fields.
+        bucket += (None, sender, dest, now) + (
+            wire[:4] if wire[0] == VAL_T else wire)
+
+    def _traced_inert_line(self, events, t) -> str:
+        """The trace line of a delivery that _queue_traced_inert queued,
+        read from the bucket iterator just past its None."""
+        sender, dest, sent_at, tag = islice(events, 4)
+        m = (tag, *islice(events, 3 if tag == VAL_T else 5))
+        return self._trace_record(sender, dest, m, sent_at, t)
+
+    def _trace_record(self, sender, dest, m, sent_at, t) -> str:
+        """The delivery's JSONL line, byte for byte what
+        `json.dumps(record, sort_keys=True) + "\\n"` writes."""
         if m[0] == VAL_T:
-            _, rnd, x, p = m[:4]
-            return {"round": rnd, "kind": "value", "value": x,
-                    "path": list(path_of(p, self.g.n)), "sender": sender,
-                    "receiver": dest, "send_time": sent_at, "deliver_time": t}
+            x = repr(m[2])
+            path = ", ".join(map(str, path_of(m[3], self.g.n)))
+            return (f'{{"deliver_time": {t}, "kind": "value", '
+                    f'"path": [{path}], "receiver": {dest}, '
+                    f'"round": {m[1]}, "send_time": {sent_at}, '
+                    f'"sender": {sender}, '
+                    f'"value": {_JSON_NONFINITE.get(x, x)}}}\n')
         _, rnd, init, k, payload, p = m
-        return {"round": rnd, "kind": "complete", "init": init,
-                "fifo_counter": k, "claimed": sorted(set_of(
-                    payload.claimed_mask)), "path": list(p),
-                "sender": sender, "receiver": dest,
-                "send_time": sent_at, "deliver_time": t}
+        claimed = ", ".join(map(str, sorted(set_of(payload.claimed_mask))))
+        return (f'{{"claimed": [{claimed}], "deliver_time": {t}, '
+                f'"fifo_counter": {k}, "init": {init}, "kind": "complete", '
+                f'"path": [{", ".join(map(str, p))}], "receiver": {dest}, '
+                f'"round": {rnd}, "send_time": {sent_at}, '
+                f'"sender": {sender}}}\n')
+
+
+# json writes the non-finite floats as these JavaScript literals.
+_JSON_NONFINITE = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}
 
 
 def _is_real(x) -> bool:
@@ -267,10 +309,10 @@ def rounds_to_output(K: float, eps: float) -> int:
     return math.floor(math.log2(K / eps) + 1e-12) + 1
 
 
-def run(g: DiGraph, inputs: list, f: int, plan: FaultPlan, delay,
-        K: float, eps: float, *, budgets: Optional[Budgets] = None,
-        collect_trace: bool = False) -> RunMetrics:
-    """Execute a full multi-round consensus run and collect metrics."""
+def admit(g: DiGraph, inputs: list, f: int, K: float, eps: float,
+          budgets: Optional[Budgets] = None) -> int:
+    """Check a run's arguments and its size budgets before anything is
+    simulated; returns the output round r_out."""
     budgets = budgets or Budgets()
     if len(inputs) != g.n:
         raise InvalidArgumentError(
@@ -294,12 +336,23 @@ def run(g: DiGraph, inputs: list, f: int, plan: FaultPlan, delay,
         raise BudgetError(
             f"{tc} candidate threads per node exceed the budget of "
             f"{budgets.max_threads}")
-    r_out = rounds_to_output(K, eps)
+    return rounds_to_output(K, eps)
+
+
+def run(g: DiGraph, inputs: list, f: int, plan: FaultPlan, delay,
+        K: float, eps: float, *, budgets: Optional[Budgets] = None,
+        trace: Optional[Callable[[str], object]] = None) -> RunMetrics:
+    """Execute a full multi-round consensus run and collect metrics.
+
+    With `trace`, each delivery's JSONL line (a str ending in a newline) is
+    passed to it in delivery order."""
+    budgets = budgets or Budgets()
+    r_out = admit(g, inputs, f, K, eps, budgets)
     metrics = RunMetrics(g=g, f=f, K=K, eps=eps, r_out=r_out,
                          faulty=plan.faulty, inputs=list(inputs),
                          three_reach=check_k_reach(g, f, 3).holds)
 
-    world = SimWorld(g, f, r_out, plan, delay, collect_trace)
+    world = SimWorld(g, f, r_out, plan, delay, trace)
     world.pending_honest = len(metrics.honest)
     nodes = world.nodes = [Node(world, v, float(inputs[v]))
                            for v in range(g.n)]
@@ -332,7 +385,6 @@ def run(g: DiGraph, inputs: list, f: int, plan: FaultPlan, delay,
                 metrics.fa_records[(v, r)] = rstate.fa_record
             for fv, payload in rstate.latch_values.items():
                 metrics.latches[(v, r, fv)] = payload
-    metrics.trace = world.trace
     return metrics
 
 

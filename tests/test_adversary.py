@@ -10,6 +10,7 @@ from reachcons import (Crash, DiGraph, Equivocate, ForgeComplete,
                        UniformDelay, assert_round_invariants, builtin_plans,
                        enumerate_redundant_paths, is_redundant_path,
                        make_plan, run)
+from reachcons import adversary
 from reachcons.adversary import PlanRuntime
 from reachcons.graph import _walk_state
 from reachcons.protocol import COMP_T, VAL_T, Node, path_key, path_of
@@ -298,8 +299,25 @@ def test_relaying_adversary_at_f2(monkeypatch):
     g = clique(7)
     plan = make_plan("relay", {5: Crash(0), 6: TamperForward(0.3)})
     phases = check_wire_states(monkeypatch, g)
+    # A flood hands one wire to each out-neighbour in turn: each relayed
+    # key is parsed once, not once per destination.
+    parses, emitted = [], set()
+    intercept = PlanRuntime.intercept
+
+    def counted_walk_state(g, seq):
+        parses.append(seq)
+        return _walk_state(g, seq)
+
+    def recording(self, sender, dest, wire, node):
+        out = intercept(self, sender, dest, wire, node)
+        emitted.update((m[1], m[3]) for m in out if m[0] == VAL_T)
+        return out
+
+    monkeypatch.setattr(adversary, "_walk_state", counted_walk_state)
+    monkeypatch.setattr(PlanRuntime, "intercept", recording)
     m = run(g, K7_INPUTS, 2, plan, UniformDelay(seed=3), 1.0, 0.25)
     assert not m.stalled
     assert assert_round_invariants(m).ok
     assert m.deliveries == 1_123_003
     assert phases and 0 not in phases
+    assert 0 < len(parses) <= len(emitted)

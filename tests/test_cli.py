@@ -1,8 +1,10 @@
 """Command line interface: exit codes, files, formats, env override."""
 
+import functools
 import hashlib
 import json
 import os
+import tracemalloc
 from itertools import permutations
 
 import pytest
@@ -118,6 +120,21 @@ def test_run_refuses_non_3reach_without_force(tmp_path):
     assert main(["run", str(cpath)]) == 2
 
 
+def test_run_refuses_non_3reach_before_simulating(tmp_path, monkeypatch):
+    calls = []
+    monkeypatch.setattr(simnet, "run", lambda *a, **kw: calls.append(a))
+    gpath = tmp_path / "k3.txt"
+    gpath.write_text(K3_TEXT)
+    trace = tmp_path / "t.jsonl"
+    cfg = ScenarioConfig(graph=str(gpath), f=1, inputs=[0.0, 1.0, 0.5],
+                         trace=str(trace))
+    cpath = tmp_path / "scenario.json"
+    cpath.write_text(cfg.to_json())
+    assert main(["run", str(cpath)]) == 2
+    assert calls == []
+    assert not trace.exists()
+
+
 def test_run_force_proceeds_with_guarantees_void(tmp_path, capsys):
     gpath = tmp_path / "k3.txt"
     gpath.write_text(K3_TEXT)
@@ -171,6 +188,78 @@ def test_run_trace_bytes_pinned(tmp_path, plan):
     assert hashlib.sha256(trace.read_bytes()).hexdigest() == TRACE_PINS[plan]
 
 
+def k6_scenario(tmp_path, trace=None) -> str:
+    gpath = tmp_path / "k6.txt"
+    gpath.write_text(format_edge_list(
+        DiGraph(6, frozenset(permutations(range(6), 2)))))
+    cfg = ScenarioConfig(graph=str(gpath), f=1,
+                         inputs=[i / 5 for i in range(6)],
+                         plan={"name": "crash-min"}, seed=3, trace=trace)
+    cpath = tmp_path / f"scenario-{trace is not None}.json"
+    cpath.write_text(cfg.to_json())
+    return str(cpath)
+
+
+def test_traced_run_memory_stays_near_untraced(tmp_path):
+    # The trace is streamed to its file, so a traced run holds no more
+    # than an untraced one: a record lives only while it is written.
+    out = str(tmp_path / "m.csv")
+    plain = k6_scenario(tmp_path)
+    traced = k6_scenario(tmp_path, str(tmp_path / "t.jsonl"))
+    assert main(["run", plain, "--out", out]) == 0  # warm module caches
+    peaks = []
+    for path in (plain, traced):
+        tracemalloc.start()
+        try:
+            assert main(["run", path, "--out", out]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert (tmp_path / "t.jsonl").stat().st_size > 0
+    assert peaks[1] <= 1.1 * peaks[0]
+
+
+@pytest.mark.parametrize("text,argv,code", [
+    # An input error after the trace is opened: the plan names node 9.
+    ('{%s, "plan": {"behaviors": {"9": {"kind": "crash"}}}}', [], 2),
+    # An input error before it is opened.
+    ('{"graph": "builtin:k4", "f": 4, "inputs": [0, 1, 1, 0]}', [], 2),
+    # A budget error before the run.
+    ('{%s}', ["--max-n", "3"], 3),
+], ids=["plan-node-outside", "f-is-n", "max-n"])
+def test_failed_run_leaves_no_trace_file(tmp_path, text, argv, code):
+    trace = tmp_path / "t.jsonl"
+    cfg = json.loads(text.replace("%s", K4_CONFIG))
+    cfg["trace"] = str(trace)
+    cpath = tmp_path / "scenario.json"
+    cpath.write_text(json.dumps(cfg))
+    assert main(["run", str(cpath), *argv]) == code
+    assert not trace.exists()
+
+
+def test_run_over_the_delivery_budget_leaves_no_trace_file(tmp_path,
+                                                           monkeypatch):
+    monkeypatch.setattr(simnet, "Budgets",
+                        functools.partial(simnet.Budgets, max_deliveries=50))
+    trace = tmp_path / "t.jsonl"
+    cfg = ScenarioConfig(graph="builtin:k4", f=1,
+                         inputs=[0.0, 1.0, 1.0, 0.0], trace=str(trace))
+    cpath = tmp_path / "scenario.json"
+    cpath.write_text(cfg.to_json())
+    assert main(["run", str(cpath)]) == 3
+    assert not trace.exists()
+
+
+def test_run_trace_path_that_cannot_be_opened(tmp_path, capsys):
+    cfg = ScenarioConfig(graph="builtin:k4", f=1,
+                         inputs=[0.0, 1.0, 1.0, 0.0],
+                         trace=str(tmp_path / "no-dir" / "t.jsonl"))
+    cpath = tmp_path / "scenario.json"
+    cpath.write_text(cfg.to_json())
+    assert main(["run", str(cpath)]) == 2
+    assert "cannot write trace" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # sweep
 
@@ -192,7 +281,7 @@ def test_sweep_builds_no_trace(tmp_path, monkeypatch):
     real_run = simnet.run
 
     def spy(*args, **kwargs):
-        traced.append(kwargs.get("collect_trace", False))
+        traced.append(kwargs.get("trace") is None)
         return real_run(*args, **kwargs)
 
     monkeypatch.setattr(simnet, "run", spy)
@@ -207,7 +296,7 @@ def test_sweep_builds_no_trace(tmp_path, monkeypatch):
     for seed in (1, 2):
         assert (tmp_path / f"sw-{seed}.csv").exists()
     assert not trace.exists()
-    assert traced == [False, False]
+    assert traced == [True, True]
 
 
 # ---------------------------------------------------------------------------
@@ -294,6 +383,23 @@ def test_run_rejects_non_finite_numbers_and_f_at_least_n(tmp_path, capsys,
 
 
 K4_CONFIG = '"graph": "builtin:k4", "f": 1, "inputs": [0, 1, 1, 0]'
+
+
+@pytest.mark.parametrize("behavior", [
+    '{"kind": "tamper", "value_delta": NaN}',
+    '{"kind": "tamper", "value_delta": "nan"}',
+    '{"kind": "equivocate", "values": {"0": Infinity, "1": 0.5}}',
+    '{"kind": "forge", "omit": 1, "forged_value": -Infinity}',
+], ids=["nan-delta", "nan-string-delta", "inf-equivocate", "inf-forged"])
+def test_run_rejects_non_finite_behaviour_values(tmp_path, capsys, behavior):
+    trace = tmp_path / "t.jsonl"
+    cpath = tmp_path / "scenario.json"
+    cpath.write_text('{%s, "trace": %s, "plan": {"behaviors": {"3": %s}}}'
+                     % (K4_CONFIG, json.dumps(str(trace)), behavior))
+    assert main(["run", str(cpath), "--out", str(tmp_path / "m.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "finite real" in err
+    assert not trace.exists()
 
 
 @pytest.mark.parametrize("text", [

@@ -8,6 +8,7 @@ together with a change of protocol behaviour that says why.
 """
 
 import hashlib
+import json
 from itertools import permutations
 
 import pytest
@@ -127,10 +128,11 @@ def test_k7_split_brain_digest_pinned_traced_and_untraced():
     g = clique(7)
     plan = builtin_plans(g, 2)["split-brain"]
     plain = run(g, K7_INPUTS, 2, plan, UniformDelay(seed=3), K, EPS)
+    lines = []
     traced = run(g, K7_INPUTS, 2, plan, UniformDelay(seed=3), K, EPS,
-                 collect_trace=True)
-    assert plain.trace is None
-    assert len(traced.trace) == traced.deliveries
+                 trace=lines.append)
+    assert len(lines) == traced.deliveries
+    assert all(json.loads(ln)["deliver_time"] > 0 for ln in lines)
     assert run_digest(plain) == K7_SPLIT_BRAIN_PIN
     assert run_digest(traced) == K7_SPLIT_BRAIN_PIN
 

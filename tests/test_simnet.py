@@ -1,6 +1,8 @@
 """Simulator: delay policies, budgets, metrics, determinism, invariants."""
 
 import gc
+import json
+import math
 import tracemalloc
 from itertools import permutations
 
@@ -12,8 +14,11 @@ from reachcons import (BudgetError, Budgets, DiGraph, InvalidArgumentError,
                        run)
 from reachcons.adversary import (Crash, ForgeComplete, PlanRuntime,
                                  TamperForward)
-from reachcons.protocol import VAL_T, Node
-from reachcons.simnet import rounds_to_output, thread_count
+from reachcons.graph import set_of
+from reachcons.protocol import (COMP_T, VAL_T, Node, PayloadView, path_key,
+                                path_of)
+from reachcons.simnet import SimWorld, rounds_to_output, thread_count
+from test_golden import K4_INPUTS, K4_PINS, K7_INPUTS, delay_policy
 
 
 def clique(n):
@@ -182,12 +187,15 @@ def test_different_seed_changes_the_schedule():
 
 
 def test_trace_collection():
+    lines = []
     metrics = run(K4, INPUTS4, 1, make_plan("none", {}),
-                  UniformDelay(seed=1), 1.0, 0.25, collect_trace=True)
-    assert metrics.trace
-    kinds = {rec["kind"] for rec in metrics.trace}
+                  UniformDelay(seed=1), 1.0, 0.25, trace=lines.append)
+    assert len(lines) == metrics.deliveries
+    assert all(ln.endswith("\n") and ln.count("\n") == 1 for ln in lines)
+    records = [json.loads(ln) for ln in lines]
+    kinds = {rec["kind"] for rec in records}
     assert kinds == {"value", "complete"}
-    for rec in metrics.trace[:50]:
+    for rec in records[:50]:
         assert rec["deliver_time"] > rec["send_time"]
         assert rec["path"][-1] == rec["sender"]
 
@@ -195,12 +203,86 @@ def test_trace_collection():
 def test_inert_receivers_are_counted_and_traced():
     plan = builtin_plans(K4, 1)["crash-min"]
     assert plan.inert == frozenset({3})
+    lines = []
     metrics = run(K4, INPUTS4, 1, plan, UniformDelay(seed=1), 1.0, 0.25,
-                  collect_trace=True)
-    assert len(metrics.trace) == metrics.deliveries
-    assert any(rec["receiver"] == 3 for rec in metrics.trace)
-    assert not any(rec["sender"] == 3 for rec in metrics.trace)
+                  trace=lines.append)
+    records = [json.loads(ln) for ln in lines]
+    assert len(records) == metrics.deliveries
+    assert any(rec["receiver"] == 3 for rec in records)
+    assert not any(rec["sender"] == 3 for rec in records)
     assert assert_round_invariants(metrics).ok
+
+
+def oracle_line(g, sender, dest, m, sent_at, t) -> str:
+    """A delivery's trace line as a dict through json.dumps: the record
+    format written before lines were formatted directly."""
+    if m[0] == VAL_T:
+        _, rnd, x, p = m[:4]
+        rec = {"round": rnd, "kind": "value", "value": x,
+               "path": list(path_of(p, g.n)), "sender": sender,
+               "receiver": dest, "send_time": sent_at, "deliver_time": t}
+    else:
+        _, rnd, init, k, payload, p = m
+        rec = {"round": rnd, "kind": "complete", "init": init,
+               "fifo_counter": k,
+               "claimed": sorted(set_of(payload.claimed_mask)),
+               "path": list(p), "sender": sender, "receiver": dest,
+               "send_time": sent_at, "deliver_time": t}
+    return json.dumps(rec, sort_keys=True) + "\n"
+
+
+def check_trace_lines(monkeypatch, g) -> list:
+    """Compare every trace line the run formats with the oracle's; returns
+    the list of compared lines."""
+    record = SimWorld._trace_record
+    compared = []
+
+    def checked(self, sender, dest, m, sent_at, t):
+        line = record(self, sender, dest, m, sent_at, t)
+        assert line == oracle_line(g, sender, dest, m, sent_at, t)
+        compared.append(line)
+        return line
+
+    monkeypatch.setattr(SimWorld, "_trace_record", checked)
+    return compared
+
+
+@pytest.mark.parametrize("plan,di", sorted(K4_PINS))
+def test_trace_lines_match_json_dumps_golden_k4(monkeypatch, plan, di):
+    compared = check_trace_lines(monkeypatch, K4)
+    lines = []
+    m = run(K4, K4_INPUTS, 1, builtin_plans(K4, 1)[plan],
+            delay_policy(di, 4), 1.0, 0.25, trace=lines.append)
+    assert lines == compared and len(lines) == m.deliveries
+
+
+def test_trace_lines_match_json_dumps_k7_split_brain(monkeypatch):
+    g = clique(7)
+    compared = check_trace_lines(monkeypatch, g)
+    lines = []
+    m = run(g, K7_INPUTS, 2, builtin_plans(g, 2)["split-brain"],
+            UniformDelay(seed=3), 1.0, 0.25, trace=lines.append)
+    assert lines == compared and len(lines) == m.deliveries
+    assert {json.loads(ln)["kind"] for ln in lines} == {"value",
+                                                         "complete"}
+
+
+@pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan, 1e308, -0.0,
+                               0.1, 1, 0])
+def test_trace_line_of_a_hand_built_value(x):
+    # Two TamperForward(1e308) relays overflow a value to inf, which json
+    # writes as Infinity.
+    world = SimWorld(K4, 1, 3, make_plan("none", {}), UniformDelay(seed=1),
+                     None)
+    for p in ((2,), (0, 1, 3, 0, 2)):
+        wire = (VAL_T, 1, x, path_key(p, 4), 1, 1 << 2, 0)
+        line = world._trace_record(2, 3, wire, 5, 9)
+        assert line == oracle_line(K4, 2, 3, wire, 5, 9)
+    payload = PayloadView(0, 0b101, ((1, x),))
+    for p in ((1,), (1, 0, 2)):
+        wire = (COMP_T, 0, 1, 4, payload, p)
+        line = world._trace_record(2, 3, wire, 5, 9)
+        assert line == oracle_line(K4, 2, 3, wire, 5, 9)
 
 
 def _live_nodes() -> int:
