@@ -3,19 +3,18 @@
 Faulty nodes run the honest runtime internally; every outgoing message passes
 through the plan, which may drop, mutate, or multiply it.  The simulator drops
 the sends of a mute node (`FaultPlan.mute`) that the plan would drop anyway
-without asking it.  A VALUE wire carries its path as a packed key (see
-`protocol.path_key`), a COMPLETE wire as a tuple.  No behavior may
-emit a path whose last hop is not the sender itself; that rule is enforced
-structurally on every emission.
+without asking it.  Wires of both kinds carry their path as a packed key
+(see `protocol.path_key`).  No behavior may emit a path whose last hop is
+not the sender itself; that rule is enforced structurally on every emission.
 
 Every emission of a faulty node passes through `PlanRuntime.intercept`, so
-that is where forged VALUE keys are checked: it replaces the walk state a
-VALUE wire claims with the greedy parse of its key, or with phase 0 when the
-key is not a redundant path of the graph, which receivers drop.  An honest
-sender's state is the parse already (it extends a state that was checked
-one hop upstream), so receivers trust wire states and never reparse a key;
-the flood's millions of honest deliveries pay nothing for the check.
-COMPLETE paths are few, and receivers check them (`protocol.Node`).
+that is where forged keys are checked, for both kinds: it replaces the walk
+state a wire claims with the greedy parse of its key, or with phase 0 when
+the key is not a path of its kind (a redundant path for a VALUE, a simple
+path for a COMPLETE), which receivers drop.  An honest sender's state is the
+parse already (it extends a state that was checked one hop upstream), so
+receivers trust wire states and never reparse a key; the flood's millions of
+honest deliveries pay nothing for the check.
 """
 
 from __future__ import annotations
@@ -144,7 +143,7 @@ class PlanRuntime:
         self.g = g
         self.sent = {v: 0 for v in plan.faulty}
         self._behaviors = dict(plan.behaviors)
-        self.forged = {}  # (node, round) -> (counter, payload)
+        self.forged = {}  # (node, round) -> COMPLETE body (counter, payload)
         self.equiv_maps = {
             v: dict(b.values) for v, b in plan.behaviors
             if isinstance(b, Equivocate)
@@ -154,26 +153,24 @@ class PlanRuntime:
         self._last_parse = (None, None)
 
     def intercept(self, sender: int, dest: int, wire: tuple, node) -> list:
-        """The sender's emissions for one send.  Each VALUE leaves with the
-        walk state of its key, (0, 0, 0) if the key is not a redundant
-        path."""
+        """The sender's emissions for one send.  Each leaves with the walk
+        state of its key, (0, 0, 0) if the key is not a path of its kind:
+        a redundant path for a VALUE, a simple path for a COMPLETE."""
         g = self.g
         out = []
         for m in self._apply(sender, dest, wire, node):
-            value = m[0] == VAL_T
-            last = path_last(m[3], g.n) if value else m[5][-1]
-            if last != sender:
+            key = m[3]
+            if path_last(key, g.n) != sender:
                 raise InvalidArgumentError(
                     "adversary emitted a path not ending at the sender")
-            if value:
-                key, state = self._last_parse
-                if key != m[3]:
-                    key = m[3]
-                    state = _walk_state(g, path_of(key, g.n))
-                    state = state[:3] if state else (0, 0, 0)
-                    self._last_parse = (key, state)
-                m = m[:4] + state
-            out.append(m)
+            parsed, state = self._last_parse
+            if parsed != key:
+                state = _walk_state(g, path_of(key, g.n))
+                state = state[:3] if state else (0, 0, 0)
+                self._last_parse = (key, state)
+            if m[0] == COMP_T and state[0] != 1:
+                state = (0, 0, 0)
+            out.append(m[:4] + state)
         return out
 
     def _apply(self, sender: int, dest: int, wire: tuple, node) -> list:
@@ -205,17 +202,17 @@ class PlanRuntime:
                own: bool) -> list:
         if own:
             rnd = wire[1]
-            key = (sender, rnd)
-            if key not in self.forged:
+            body = self.forged.get((sender, rnd))
+            if body is None:
                 node.fifo_sent += 1
                 excluded = set(b.claimed) | {b.omit}
                 values = tuple(sorted(
                     (q, b.forged_value) for q in range(self.g.n)
                     if q not in excluded))
                 payload = PayloadView(rnd, mask_of(b.claimed), values)
-                self.forged[key] = (node.fifo_sent, payload)
-            k, payload = self.forged[key]
-            return [wire, (COMP_T, rnd, sender, k, payload, (sender,))]
+                body = self.forged[(sender, rnd)] = (node.fifo_sent, payload)
+            # The forgery travels on the own VALUE's one-node path.
+            return [wire, (COMP_T, rnd, body) + wire[3:]]
         if b.forward:
             return [wire]
         # Non-forwarding mode: keep only own honest announcements out too,

@@ -204,7 +204,10 @@ def cmd_check(args) -> int:
 
 
 def _execute(config: ScenarioConfig, seed: int, force: bool,
-             budgets: simnet.Budgets):
+             budgets: simnet.Budgets, out: Optional[str]):
+    """Run a scenario and write its metrics CSV to out (stdout if None).
+    The output files are opened after the input checks and before the
+    run."""
     g = load_graph(config.graph)
     plan = build_plan(config.plan, g, config.f, config.K)
     delay = build_delay(config.delay, seed)
@@ -215,21 +218,26 @@ def _execute(config: ScenarioConfig, seed: int, force: bool,
         raise InvalidArgumentError(
             "graph fails the 3-reach condition for this f; "
             "rerun with --force to proceed with guarantees void")
-    args = (g, config.inputs, config.f, plan, delay, config.K, config.eps)
-    if config.trace is None:
-        return simnet.run(*args, budgets=budgets)
-    with _trace_file(config.trace) as write:
-        return simnet.run(*args, budgets=budgets, trace=write)
+    with _output_file(out, "metrics") as write, \
+            _output_file(config.trace, "trace") as trace:
+        metrics = simnet.run(g, config.inputs, config.f, plan, delay,
+                             config.K, config.eps, budgets=budgets,
+                             trace=trace)
+        (write or sys.stdout.write)(metrics_csv(metrics))
+    return metrics
 
 
 @contextmanager
-def _trace_file(path: str):
-    """Yield the write method of the trace file at path.  A run that does
-    not finish leaves no trace file behind."""
+def _output_file(path: Optional[str], what: str):
+    """Yield the write method of the file at path, or None if path is None.
+    A command that fails after opening the file leaves no file behind."""
+    if path is None:
+        yield None
+        return
     try:
         fh = open(path, "w")
     except OSError as e:
-        raise InvalidArgumentError(f"cannot write trace {path!r}: {e}") from e
+        raise InvalidArgumentError(f"cannot write {what} {path!r}: {e}") from e
     try:
         with fh:
             yield fh.write
@@ -240,13 +248,7 @@ def _trace_file(path: str):
         raise
 
 
-def _emit_run(metrics: simnet.RunMetrics, out_path: Optional[str]) -> int:
-    csv = metrics_csv(metrics)
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(csv)
-    else:
-        sys.stdout.write(csv)
+def _emit_run(metrics: simnet.RunMetrics) -> int:
     if not metrics.three_reach:
         print("warning: 3-reach fails; guarantees void", file=sys.stderr)
     report = simnet.assert_round_invariants(metrics)
@@ -291,8 +293,10 @@ def cmd_run(args) -> int:
     config = _load_config(args)
     if args.out:
         config.out = args.out
-    metrics = _execute(config, _seed_of(config), args.force, _budgets(args))
-    return _emit_run(metrics, config.out)
+    # An empty out path means stdout, as no path does.
+    metrics = _execute(config, _seed_of(config), args.force, _budgets(args),
+                       config.out or None)
+    return _emit_run(metrics)
 
 
 def cmd_sweep(args) -> int:
@@ -302,10 +306,8 @@ def cmd_sweep(args) -> int:
     base = config.out or "sweep"
     worst = 0
     for seed in args.seeds:
-        metrics = _execute(config, seed, args.force, budgets)
         path = f"{base}-{seed}.csv"
-        with open(path, "w") as fh:
-            fh.write(metrics_csv(metrics))
+        metrics = _execute(config, seed, args.force, budgets, path)
         report = simnet.assert_round_invariants(metrics)
         status = "ok" if report.ok else "VIOLATIONS"
         print(f"seed {seed}: {status} -> {path}")
@@ -323,12 +325,8 @@ def cmd_gen(args) -> int:
         g = generate.random_digraph(args.n, args.p, args.seed)
     else:
         g = generate.two_cliques(args.n, args.bridges, args.seed)
-    text = format_edge_list(g)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    with _output_file(args.out or None, "graph") as write:
+        (write or sys.stdout.write)(format_edge_list(g))
     return 0
 
 

@@ -239,20 +239,6 @@ def is_redundant_path(g: DiGraph, seq: tuple) -> bool:
     return _walk_state(g, seq) is not None
 
 
-def is_simple_path(g: DiGraph, seq: tuple) -> bool:
-    """Whether a nonempty node sequence is a simple path of g: no node
-    repeats and every hop is an edge."""
-    seen = 0
-    prev = None
-    for v in seq:
-        if not 0 <= v < g.n or seen >> v & 1 or (
-                prev is not None and not g.out_masks[prev] >> v & 1):
-            return False
-        seen |= 1 << v
-        prev = v
-    return bool(seq)
-
-
 def make_redundant_path(g: DiGraph, seq: tuple) -> RedundantPath:
     state = _walk_state(g, seq)
     if state is None:

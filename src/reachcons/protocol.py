@@ -11,13 +11,13 @@ six- and seven-node graphs stay tractable; the module-level completeness and
 filter_and_average functions are straightforward reference implementations
 over MessageSet used for unit-level cross-checks.
 
-A VALUE path travels and is stored as one int, its key (`path_key`): one
-digit of `n.bit_length()` bits per hop, node v written as v + 1, first node
-most significant.  Extending a path is a shift and an or, the key is its own
-canonical id, and a node's history maps keys to one shared (value, node mask)
-record per distinct pair.  COMPLETE paths stay tuples: a flood carries about
-fifty times fewer of them than VALUE paths, and a receiver asks whether it is
-on the path already.
+A path of either message kind travels and is stored as one int, its key
+(`path_key`): one digit of `n.bit_length()` bits per hop, node v written as
+v + 1, first node most significant.  Extending a path is a shift and an or,
+the key is its own canonical id, and a node's VALUE history maps keys to one
+shared (value, node mask) record per distinct pair.  Both kinds carry the
+key's walk state, which `adversary.PlanRuntime.intercept` sets on every
+faulty emission, so receivers check nothing but the last hop and the phase.
 """
 
 from __future__ import annotations
@@ -27,22 +27,23 @@ from typing import Optional
 
 from .errors import ProtocolIntegrityError
 from .graph import (DiGraph, count_redundant_paths, count_simple_paths,
-                    has_f_cover, is_simple_path, mask_of, set_of,
+                    has_f_cover, mask_of, set_of,
                     source_component, subset_masks, _source_component_mask,
                     _reach_mask)
 from .messaging import MessageSet
 
-# Wire tags.  VALUE: (VAL_T, round, value, key, phase, m1, m2) where key is
-# the packed path and (phase, m1, m2) its walk state: phase 1 while the walk is
-# still simple with visited-mask m1, phase 2 once the second segment is open
-# with visited-mask m2, and phase 0 for a key that is not a redundant path.
-# Receivers extend the state by one hop instead of parsing the key, so the
-# state must be exact: a faulty sender claiming an understated mask, or
-# sending a key that is no redundant path, could otherwise make honest threads
-# count it as one of their paths and latch before their history is full.
-# Honest senders extend exact states, and `PlanRuntime.intercept` sets the
-# parsed state on every faulty emission.
-# COMPLETE: (COMP_T, round, init, counter, payload, path).
+# Wire tags.  Both kinds are (tag, round, body, key, phase, m1, m2): body is
+# the VALUE's value or the COMPLETE's (counter, payload), key the packed path
+# (its top digit the initiator) and (phase, m1, m2) its walk state: phase 1
+# while the walk is still simple with visited-mask m1, phase 2 once the
+# second segment is open with visited-mask m2, and phase 0 for a key that is
+# not a path of its kind: a redundant path for a VALUE, a simple one for a
+# COMPLETE.  Receivers extend the state by one hop instead of parsing the
+# key, so the state must be exact: a faulty sender claiming an understated
+# mask, or sending a key that is no path of its kind, could otherwise make
+# honest threads count it as one of their paths and latch before their
+# history is full.  Honest senders extend exact states, and
+# `PlanRuntime.intercept` sets the parsed state on every faulty emission.
 VAL_T = 0
 COMP_T = 1
 
@@ -93,15 +94,14 @@ def path_order(key: int, n: int) -> int:
 class PayloadView:
     """The observable content of a COMPLETE announcement's message set.
 
-    Downstream checks read an announcement only through per-initiator values
-    and a consistency bit, so the carried copy is stored at that granularity.
-    values is a sorted tuple of (initiator, value) pairs.
+    Downstream checks read an announcement only through per-initiator
+    values, so the carried copy is stored at that granularity.  values is a
+    sorted tuple of (initiator, value) pairs.
     """
 
     round: int
     claimed_mask: int
     values: tuple
-    consistent: bool = True
 
     def __post_init__(self):
         object.__setattr__(self, "_map", dict(self.values))
@@ -163,7 +163,7 @@ class RoundState:
         self.by_init_value = {}  # (init, value) -> set of path masks
         self.threads = threads
         self.nextround = False
-        self.comp_paths = {}  # (init, counter, payload) -> set of paths
+        self.comp_paths = {}  # (init, counter, payload) -> set of path keys
         self.watched = set()  # (init, value) pairs blocking some verify
         self.qual_threads = set()
         self.dirty = set()
@@ -203,7 +203,7 @@ class Node:
                 (idx, fv, fvmask, _reach_mask(g, me, fvmask),
                  count_redundant_paths(g, fvmask)[me]))
         self._avoid_cache = {}  # path mask -> indices of threads it avoids
-        self._fwd2 = {}  # phase-2 mask m2 -> out-neighbours outside it
+        self._fwd2 = {}  # node mask -> out-neighbours outside it
         full = g.full_mask & ~(1 << me)
         self._fa_cands = world.cover_cands(full)
         self._bits = g.n.bit_length()  # bits per digit of a packed path
@@ -263,45 +263,31 @@ class Node:
     # -- delivery dispatch -------------------------------------------------
 
     def on_deliver(self, sender: int, msg: tuple):
-        if msg[0] == VAL_T:
-            # The last hop must be the sender; phase 0 marks a key that is
-            # not a redundant path.
-            if msg[3] & self._hop != sender + 1 or not msg[4]:
-                return
-            rnd = msg[1]
-            if rnd > self.round:
-                self.future.setdefault(rnd, []).append((sender, msg))
-                return
-            rstate = self.rounds.get(rnd)
-            if rstate is None:
-                return
-            self._receive_value(rstate, sender, msg)
-            if rstate.dirty and not rstate.nextround:
-                self._sweep(rstate)
-        else:
-            _, rnd, init, k, payload, p = msg
-            if (p[-1] != sender or p[0] != init
-                    or not is_simple_path(self.g, p)):
-                return
-            if self._note_counter(init, k):
+        # The last hop must be the sender; phase 0 marks a key that is not a
+        # path of its kind.
+        if msg[3] & self._hop != sender + 1 or not msg[4]:
+            return
+        value = msg[0] == VAL_T
+        if not value:
+            # A COMPLETE's FIFO counter is noted even when this node is on
+            # its path.
+            if self._note_counter(path_init(msg[3], self.g.n), msg[2][0]):
                 self._wake_all()
-            if self.me in p:
+            if msg[5] >> self.me & 1:
                 return
-            if rnd > self.round:
-                self.future.setdefault(rnd, []).append((sender, msg))
-                return
-            rstate = self.rounds.get(rnd)
-            if rstate is None:
-                return
-            q = p + (self.me,)
-            if self._receive_complete(rstate, q, init, k, payload):
-                qset = set(q)
-                wire = (COMP_T, rnd, init, k, payload, q)
-                self.world.send_flood(
-                    self.me, [w for w in self.out_list if w not in qset],
-                    wire)
-            if rstate.dirty and not rstate.nextround:
-                self._sweep(rstate)
+        rnd = msg[1]
+        if rnd > self.round:
+            self.future.setdefault(rnd, []).append((sender, msg))
+            return
+        rstate = self.rounds.get(rnd)
+        if rstate is None:
+            return
+        if value:
+            self._receive_value(rstate, sender, msg)
+        else:
+            self._receive_complete(rstate, sender, msg)
+        if rstate.dirty and not rstate.nextround:
+            self._sweep(rstate)
 
     # -- value recording ---------------------------------------------------
 
@@ -393,19 +379,31 @@ class Node:
         me = self.me
         if self._note_counter(me, k):
             self._wake_all()
-        self._receive_complete(rstate, (me,), me, k, payload)
-        wire = (COMP_T, rstate.r, me, k, payload, (me,))
-        self.world.send_flood(me, self.out_list, wire)
+        # As the own value does, the announcement arrives on the empty path.
+        self._receive_complete(rstate, me,
+                               (COMP_T, rstate.r, (k, payload), 0, 1, 0, 0))
 
-    def _receive_complete(self, rstate, q, init, k, payload) -> bool:
+    def _receive_complete(self, rstate, sender, msg):
+        """Extend a COMPLETE wire's simple path by this node, record the
+        path, forward it if new, and count it against the threads whose
+        reach holds it."""
+        _, r, body, p, _, m1, _ = msg
+        me = self.me
+        q = p << self._bits | (me + 1)
+        qmask = m1 | 1 << me
+        init = path_init(q, self.g.n)
+        k, payload = body
         key = (init, k, payload)
         seen = rstate.comp_paths.setdefault(key, set())
         if q in seen:
-            return False
+            return
         seen.add(q)
-        qmask = mask_of(q)
+        dests = self._fwd2.get(qmask)
+        if dests is None:
+            dests = self._fwd2[qmask] = [w for w in self.out_list
+                                         if not qmask >> w & 1]
+        self.world.send_flood(me, dests, (COMP_T, r, body, q, 1, qmask, 0))
         g = self.g
-        me = self.me
         for t in rstate.threads:
             if qmask & ~t.reach_mask:
                 continue
@@ -419,7 +417,6 @@ class Node:
                 if c == count_simple_paths(g, init, me, t.reach_mask):
                     t.fra_full.setdefault(init, []).append((k, payload))
                     rstate.dirty.add(t.idx)
-        return True
 
     # -- verification and advancement ---------------------------------------
 
@@ -451,8 +448,6 @@ class Node:
         for init, k, payload in t.qual:
             if frontier.get(init, 0) < k - 1:
                 continue  # not yet FIFO-received
-            if not payload.consistent:
-                continue
             if not self._completeness(rstate, payload):
                 return False
         return True

@@ -258,35 +258,34 @@ class SimWorld:
     @staticmethod
     def _queue_traced_inert(bucket: list, sender, dest, wire, now):
         # None, then the fields flat: no tuple per send, and no wire kept
-        # alive after its handled deliveries.  A VALUE line needs only the
-        # wire's first four fields.
-        bucket += (None, sender, dest, now) + (
-            wire[:4] if wire[0] == VAL_T else wire)
+        # alive after its handled deliveries.  A line needs only the wire's
+        # first four fields.
+        bucket += (None, sender, dest, now) + wire[:4]
 
     def _traced_inert_line(self, events, t) -> str:
         """The trace line of a delivery that _queue_traced_inert queued,
         read from the bucket iterator just past its None."""
-        sender, dest, sent_at, tag = islice(events, 4)
-        m = (tag, *islice(events, 3 if tag == VAL_T else 5))
+        sender, dest, sent_at, *m = islice(events, 7)
         return self._trace_record(sender, dest, m, sent_at, t)
 
     def _trace_record(self, sender, dest, m, sent_at, t) -> str:
         """The delivery's JSONL line, byte for byte what
         `json.dumps(record, sort_keys=True) + "\\n"` writes."""
+        p = path_of(m[3], self.g.n)
+        path = ", ".join(map(str, p))
         if m[0] == VAL_T:
             x = repr(m[2])
-            path = ", ".join(map(str, path_of(m[3], self.g.n)))
             return (f'{{"deliver_time": {t}, "kind": "value", '
                     f'"path": [{path}], "receiver": {dest}, '
                     f'"round": {m[1]}, "send_time": {sent_at}, '
                     f'"sender": {sender}, '
                     f'"value": {_JSON_NONFINITE.get(x, x)}}}\n')
-        _, rnd, init, k, payload, p = m
+        k, payload = m[2]
         claimed = ", ".join(map(str, sorted(set_of(payload.claimed_mask))))
         return (f'{{"claimed": [{claimed}], "deliver_time": {t}, '
-                f'"fifo_counter": {k}, "init": {init}, "kind": "complete", '
-                f'"path": [{", ".join(map(str, p))}], "receiver": {dest}, '
-                f'"round": {rnd}, "send_time": {sent_at}, '
+                f'"fifo_counter": {k}, "init": {p[0]}, "kind": "complete", '
+                f'"path": [{path}], "receiver": {dest}, '
+                f'"round": {m[1]}, "send_time": {sent_at}, '
                 f'"sender": {sender}}}\n')
 
 

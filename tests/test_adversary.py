@@ -13,7 +13,8 @@ from reachcons import (Crash, DiGraph, Equivocate, ForgeComplete,
 from reachcons import adversary
 from reachcons.adversary import PlanRuntime
 from reachcons.graph import _walk_state
-from reachcons.protocol import COMP_T, VAL_T, Node, path_key, path_of
+from reachcons.protocol import (COMP_T, VAL_T, Node, PayloadView, path_init,
+                                path_key, path_of)
 from test_golden import K4_INPUTS, K4_PINS, K7_INPUTS, delay_policy
 
 
@@ -92,15 +93,18 @@ def test_forge_emits_one_complete_per_round():
     out = rt.intercept(3, 0, init_wire(3), node)
     assert len(out) == 2
     forged = out[1]
-    assert forged[0] == COMP_T and forged[2] == 3 and forged[5] == (3,)
-    payload = forged[4]
+    # The forgery's key is the one-node path (3,), with its walk state.
+    assert forged[0] == COMP_T and forged[1] == 0
+    assert forged[3:] == (path_key((3,), 4), 1, 1 << 3, 0)
+    k, payload = forged[2]
+    assert k == 1
     assert payload.claimed_mask == 1  # node 0 claimed faulty
     assert payload.value_for(1) is None  # omitted
     assert payload.value_for(2) == 0.5
     # Every destination gets the same flooded forgery: one counter, one
     # payload per round, never a second fabrication.
     again = rt.intercept(3, 1, init_wire(3), node)
-    assert again[1][3] == forged[3] and again[1][4] is payload
+    assert again[1] == forged and again[1][2][1] is payload
     assert node.fifo_sent == 1
     # Non-forwarding mode drops relayed traffic.
     assert rt.intercept(3, 0, fwd_wire(3, 1), node) == []
@@ -115,10 +119,14 @@ def test_intercept_rejects_paths_not_ending_at_sender():
     with pytest.raises(InvalidArgumentError):
         rt.intercept(3, 0, fwd_wire(1, 3), node)
     assert rt.intercept(3, 0, fwd_wire(3, 1), node) == [fwd_wire(3, 1)]
+    # The same rule holds for a COMPLETE.
+    body = (1, PayloadView(0, 0, ()))
+    with pytest.raises(InvalidArgumentError):
+        rt.intercept(3, 0, (COMP_T, 0, body) + fwd_wire(1, 3)[3:], node)
 
 
-def test_intercept_sets_the_walk_state_of_each_value_key():
-    rt = make_rt(Crash(5))
+def test_intercept_sets_the_walk_state_of_each_value_key(monkeypatch):
+    rt = make_rt(Crash(20))
     node = SimpleNamespace(fifo_sent=0)
     key = path_key((0, 1, 3), 4)
     # A real key with an understated mask leaves with its parsed state.
@@ -127,6 +135,32 @@ def test_intercept_sets_the_walk_state_of_each_value_key():
     # A key that is not a redundant path (3 -> 3 is no edge) gets phase 0.
     junk = (VAL_T, 0, 0.5, path_key((3, 3), 4), 1, 1 << 3, 0)
     assert rt.intercept(3, 0, junk, node) == [junk[:4] + (0, 0, 0)]
+    # A COMPLETE gets the same check: an understated mask gets its parse,
+    # and a key that is no path gets phase 0.
+    body = (1, PayloadView(0, 0, ()))
+    out = rt.intercept(3, 0, (COMP_T, 0, body, key, 1, 1 << 3, 0), node)
+    assert out == [(COMP_T, 0, body, key, 1, 0b1011, 0)]
+    assert rt.intercept(3, 0, (COMP_T, 0, body) + junk[3:], node) == [
+        (COMP_T, 0, body) + junk[3:4] + (0, 0, 0)]
+    # (3, 0, 3) is a redundant path but not a simple one: phase 2 as a
+    # VALUE and phase 0 as a COMPLETE, also when the other kind's parse of
+    # the key is reused.
+    parses = []
+
+    def counted_walk_state(g, seq):
+        parses.append(seq)
+        return _walk_state(g, seq)
+
+    monkeypatch.setattr(adversary, "_walk_state", counted_walk_state)
+    loop = path_key((3, 0, 3), 4)
+    as_value = (VAL_T, 0, 0.5, loop, 1, 1 << 3, 0)
+    as_complete = (COMP_T, 0, body, loop, 1, 1 << 3, 0)
+    value_out = [(VAL_T, 0, 0.5, loop, 2, 0b1001, 0b1001)]
+    complete_out = [(COMP_T, 0, body, loop, 0, 0, 0)]
+    for dest in range(3):
+        assert rt.intercept(3, dest, as_value, node) == value_out
+        assert rt.intercept(3, dest, as_complete, node) == complete_out
+    assert parses == [(3, 0, 3)]
 
 
 def test_builtin_plans_cover_the_named_set():
@@ -194,18 +228,30 @@ def forge_prefixes(monkeypatch, keys, forger=3):
     monkeypatch.setattr(PlanRuntime, "_apply", forging)
 
 
+def is_simple_path(g, p):
+    return len(set(p)) == len(p) and all(
+        g.has_edge(u, v) for u, v in zip(p, p[1:]))
+
+
 def check_wire_states(monkeypatch, g):
-    """Check every VALUE handed to a receiver: its (phase, m1, m2) is the
-    walk state of its key, or (0, 0, 0) exactly when the key is not a
-    redundant path of g.  Returns the list of checked wires' phases."""
+    """Check every wire handed to a receiver.  A VALUE's (phase, m1, m2) is
+    the walk state of its key, or (0, 0, 0) exactly when the key is not a
+    redundant path of g.  A COMPLETE's is (1, node mask, 0) when its key is
+    a simple path of g, and (0, 0, 0) otherwise.  Returns the checked
+    wires' phases, by tag."""
     deliver = Node.on_deliver
-    phases = []
+    phases = {VAL_T: [], COMP_T: []}
 
     def checked(self, sender, msg):
+        p = path_of(msg[3], g.n)
         if msg[0] == VAL_T:
-            state = _walk_state(g, path_of(msg[3], g.n))
+            state = _walk_state(g, p)
             assert msg[4:] == (state[:3] if state else (0, 0, 0))
-            phases.append(msg[4])
+        elif is_simple_path(g, p):
+            assert msg[4:] == (1, sum(1 << v for v in p), 0)
+        else:
+            assert msg[4:] == (0, 0, 0)
+        phases[msg[0]].append(msg[4])
         deliver(self, sender, msg)
 
     monkeypatch.setattr(Node, "on_deliver", checked)
@@ -251,37 +297,39 @@ def test_delivered_wire_states_are_walk_states(monkeypatch, case, plan, di):
         forge_prefixes(monkeypatch, forged_keys(K4, 3, plan))
         run(K4, [0.0, 1.0, 1.0, 0.0], 1, REPRO_PLAN, UniformDelay(seed=di),
             1.0, 0.25)
-    assert phases
-    # Only repro A forges keys that are not redundant paths.
-    assert (0 in phases) == (plan == "A")
-
-
-def is_simple_path(g, p):
-    return len(set(p)) == len(p) and all(
-        g.has_edge(u, v) for u, v in zip(p, p[1:]))
+    assert phases[VAL_T] and phases[COMP_T]
+    # Only repro A forges keys that are not redundant paths, and no
+    # COMPLETE is forged.
+    assert (0 in phases[VAL_T]) == (plan == "A")
+    assert 0 not in phases[COMP_T]
 
 
 def test_junk_complete_paths_are_dropped(monkeypatch):
-    # Node 3 relays every COMPLETE honestly and also with junk paths: one
-    # that repeats a node and one that ends on a self-loop.  No receiver
-    # counts a path that is not a simple path of g.
+    # Node 3 relays every COMPLETE honestly and also with junk keys, each
+    # claiming the state (1, {3}, 0): one that repeats the initiator, one
+    # that ends on a self-loop, and one that appends (0, 3), a redundant
+    # path of K4 but never a simple one.  No receiver counts a path that is
+    # not a simple path of g.
     apply = PlanRuntime._apply
 
     def junk(self, sender, dest, wire, node):
         out = apply(self, sender, dest, wire, node)
         if sender == 3 and wire[0] == COMP_T:
-            p = wire[5]
-            out = out + [wire[:5] + (p + (p[0], 3),),
-                         wire[:5] + (p + (3,),)]
+            key = wire[3]
+            init = path_init(key, 4) + 1
+            out = out + [wire[:3] + (k, 1, 1 << 3, 0) for k in (
+                (key << 3 | init) << 3 | 4, key << 3 | 4,
+                (key << 3 | 1) << 3 | 4)]
         return out
 
     counted = []
     receive = Node._receive_complete
 
-    def spy(self, rstate, q, init, k, payload):
-        counted.append(q)
-        return receive(self, rstate, q, init, k, payload)
+    def spy(self, rstate, sender, msg):
+        counted.append(path_of(msg[3], 4) + (self.me,))
+        return receive(self, rstate, sender, msg)
 
+    phases = check_wire_states(monkeypatch, K4)
     monkeypatch.setattr(PlanRuntime, "_apply", junk)
     monkeypatch.setattr(Node, "_receive_complete", spy)
     for seed in range(5):
@@ -291,6 +339,8 @@ def test_junk_complete_paths_are_dropped(monkeypatch):
         assert assert_round_invariants(m).ok
     assert counted
     assert all(is_simple_path(K4, q) for q in counted)
+    # The junk reached receivers, and each was marked as no path.
+    assert 0 in phases[COMP_T]
 
 
 def test_relaying_adversary_at_f2(monkeypatch):
@@ -300,7 +350,7 @@ def test_relaying_adversary_at_f2(monkeypatch):
     plan = make_plan("relay", {5: Crash(0), 6: TamperForward(0.3)})
     phases = check_wire_states(monkeypatch, g)
     # A flood hands one wire to each out-neighbour in turn: each relayed
-    # key is parsed once, not once per destination.
+    # key is parsed once per kind and round, not once per destination.
     parses, emitted = [], set()
     intercept = PlanRuntime.intercept
 
@@ -310,7 +360,7 @@ def test_relaying_adversary_at_f2(monkeypatch):
 
     def recording(self, sender, dest, wire, node):
         out = intercept(self, sender, dest, wire, node)
-        emitted.update((m[1], m[3]) for m in out if m[0] == VAL_T)
+        emitted.update((m[0], m[1], m[3]) for m in out)
         return out
 
     monkeypatch.setattr(adversary, "_walk_state", counted_walk_state)
@@ -319,5 +369,6 @@ def test_relaying_adversary_at_f2(monkeypatch):
     assert not m.stalled
     assert assert_round_invariants(m).ok
     assert m.deliveries == 1_123_003
-    assert phases and 0 not in phases
+    assert phases[VAL_T] and phases[COMP_T]
+    assert 0 not in phases[VAL_T] + phases[COMP_T]
     assert 0 < len(parses) <= len(emitted)

@@ -260,6 +260,29 @@ def test_run_trace_path_that_cannot_be_opened(tmp_path, capsys):
     assert "cannot write trace" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "k4-crash", "--out", "{missing}/m.csv"],
+    ["sweep", "{config}", "--seeds", "1", "2"],
+    ["gen", "clique", "--n", "4", "--out", "{missing}/g.txt"],
+], ids=["run", "sweep", "gen"])
+def test_output_path_that_cannot_be_opened(tmp_path, monkeypatch, capsys,
+                                           argv):
+    # Each command refuses an output file it cannot open with exit 2, and a
+    # run or sweep does so before it simulates anything.
+    calls = []
+    monkeypatch.setattr(simnet, "run", lambda *a, **kw: calls.append(a))
+    missing = tmp_path / "no-such-dir"
+    cfg = ScenarioConfig(graph="builtin:k4", f=1,
+                         inputs=[0.0, 1.0, 1.0, 0.0], out=str(missing / "sw"))
+    cpath = tmp_path / "scenario.json"
+    cpath.write_text(cfg.to_json())
+    argv = [a.format(missing=missing, config=cpath) for a in argv]
+    assert main(argv) == 2
+    assert "error: cannot write" in capsys.readouterr().err
+    assert calls == []
+    assert not missing.exists()
+
+
 # ---------------------------------------------------------------------------
 # sweep
 

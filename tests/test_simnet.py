@@ -216,17 +216,18 @@ def test_inert_receivers_are_counted_and_traced():
 def oracle_line(g, sender, dest, m, sent_at, t) -> str:
     """A delivery's trace line as a dict through json.dumps: the record
     format written before lines were formatted directly."""
-    if m[0] == VAL_T:
-        _, rnd, x, p = m[:4]
-        rec = {"round": rnd, "kind": "value", "value": x,
-               "path": list(path_of(p, g.n)), "sender": sender,
+    tag, rnd, body, key = m[:4]
+    path = list(path_of(key, g.n))
+    if tag == VAL_T:
+        rec = {"round": rnd, "kind": "value", "value": body,
+               "path": path, "sender": sender,
                "receiver": dest, "send_time": sent_at, "deliver_time": t}
     else:
-        _, rnd, init, k, payload, p = m
-        rec = {"round": rnd, "kind": "complete", "init": init,
+        k, payload = body
+        rec = {"round": rnd, "kind": "complete", "init": path[0],
                "fifo_counter": k,
                "claimed": sorted(set_of(payload.claimed_mask)),
-               "path": list(p), "sender": sender, "receiver": dest,
+               "path": path, "sender": sender, "receiver": dest,
                "send_time": sent_at, "deliver_time": t}
     return json.dumps(rec, sort_keys=True) + "\n"
 
@@ -279,8 +280,8 @@ def test_trace_line_of_a_hand_built_value(x):
         line = world._trace_record(2, 3, wire, 5, 9)
         assert line == oracle_line(K4, 2, 3, wire, 5, 9)
     payload = PayloadView(0, 0b101, ((1, x),))
-    for p in ((1,), (1, 0, 2)):
-        wire = (COMP_T, 0, 1, 4, payload, p)
+    for p, m1 in (((1,), 0b10), ((1, 0, 2), 0b111)):
+        wire = (COMP_T, 0, (4, payload), path_key(p, 4), 1, m1, 0)
         line = world._trace_record(2, 3, wire, 5, 9)
         assert line == oracle_line(K4, 2, 3, wire, 5, 9)
 
