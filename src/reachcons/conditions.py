@@ -254,8 +254,13 @@ def equivalence_audit(f: int, n_max: int, seed: int = 2026,
     Exhaustive over all labeled digraphs up to EXHAUSTIVE_AUDIT_N nodes;
     above that, a seeded random sample is used and flagged in the report.
     """
-    if n_max > 6:
-        raise InvalidArgumentError("audit budget is n_max <= 6")
+    if not 1 <= n_max <= 6:
+        raise InvalidArgumentError(
+            f"audit needs 1 <= n_max <= 6, got {n_max}")
+    if n_max > EXHAUSTIVE_AUDIT_N and samples < 1:
+        raise InvalidArgumentError(
+            f"audit above n = {EXHAUSTIVE_AUDIT_N} samples graphs; need "
+            f"samples >= 1, got {samples}")
     report = AuditReport(f=f, n_max=n_max)
 
     def check(g: DiGraph):

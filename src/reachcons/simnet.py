@@ -15,7 +15,10 @@ only the fields its trace line needs.  Sends that a faulty node's behaviour
 always drops (`FaultPlan.mute`) are dropped before interception.
 
 A traced run hands each delivery's JSONL line to the trace callable as the
-delivery happens, so no record outlives its delivery.
+delivery happens, so no record outlives its delivery.  A line is formatted
+straight from the wire: the path's text is read from its packed key a chunk
+of digits at a time through two small per-run tables, and a value's text is
+made once per value object.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from .conditions import check_k_reach
 from .errors import BudgetError, InvalidArgumentError
 from .graph import (DiGraph, _source_component_mask, mask_of, set_of,
                     subset_masks)
-from .protocol import VAL_T, Node, path_of
+from .protocol import VAL_T, Node, path_init
 
 
 # ---------------------------------------------------------------------------
@@ -151,6 +154,9 @@ class SimWorld:
         self.deliveries = 0
         self.pending_honest = 0
         self.trace = trace
+        # Text caches of _trace_record, filled as traced lines need them.
+        self._path_text = None
+        self._value_text: dict = {}
         self._cover_cands: dict = {}
         self.all_candidate_masks = tuple(sorted(subset_masks(g.n, f)))
         self.nodes: List[Node] = []
@@ -240,9 +246,7 @@ class SimWorld:
                 delivered += 1
                 if delivered > budget:
                     self.deliveries = delivered
-                    raise BudgetError(
-                        f"delivery budget of {budget} exceeded; the flood on "
-                        f"this graph is too large for explicit simulation")
+                    raise self._budget_error(budget)
                 if event is None:
                     if trace is not None:
                         trace(self._traced_inert_line(events, t))
@@ -254,6 +258,18 @@ class SimWorld:
                 if handler is not None:
                     handler(sender, m)
         self.deliveries = delivered
+
+    def _budget_error(self, budget: int) -> BudgetError:
+        """The error for a run stopped at its delivery budget, naming the
+        deliveries made and where each honest node stood."""
+        progress = ", ".join(
+            f"node {v} done" if node.output is not None
+            else f"node {v} in round {node.round}"
+            for v, node in enumerate(self.nodes) if v not in self._faulty)
+        return BudgetError(
+            f"delivery budget of {budget} exceeded after {budget} "
+            f"deliveries ({progress}); the flood on this graph is too large "
+            f"for explicit simulation")
 
     @staticmethod
     def _queue_traced_inert(bucket: list, sender, dest, wire, now):
@@ -271,22 +287,59 @@ class SimWorld:
     def _trace_record(self, sender, dest, m, sent_at, t) -> str:
         """The delivery's JSONL line, byte for byte what
         `json.dumps(record, sort_keys=True) + "\\n"` writes."""
-        p = path_of(m[3], self.g.n)
-        path = ", ".join(map(str, p))
+        # The path's text is read chunk by chunk from the bottom of its key
+        # (see _path_text_tables), never decoded to nodes.
+        tables = self._path_text
+        if tables is None:
+            tables = self._path_text = _path_text_tables(self.g.n)
+        top, tail, cbits, cmask = tables
+        key = m[3]
+        path = ""
+        while key > cmask:
+            path = tail[key & cmask] + path
+            key >>= cbits
+        path = top[key] + path
         if m[0] == VAL_T:
-            x = repr(m[2])
+            # One repr per value object: 0, 0.0 and -0.0 hash alike, so an
+            # entry is reused only for the very object it was made from.
+            x = m[2]
+            entry = self._value_text.get(x)
+            if entry is None or entry[0] is not x:
+                text = repr(x)
+                entry = self._value_text[x] = (
+                    x, _JSON_NONFINITE.get(text, text))
             return (f'{{"deliver_time": {t}, "kind": "value", '
                     f'"path": [{path}], "receiver": {dest}, '
                     f'"round": {m[1]}, "send_time": {sent_at}, '
-                    f'"sender": {sender}, '
-                    f'"value": {_JSON_NONFINITE.get(x, x)}}}\n')
+                    f'"sender": {sender}, "value": {entry[1]}}}\n')
         k, payload = m[2]
         claimed = ", ".join(map(str, sorted(set_of(payload.claimed_mask))))
         return (f'{{"claimed": [{claimed}], "deliver_time": {t}, '
-                f'"fifo_counter": {k}, "init": {p[0]}, "kind": "complete", '
+                f'"fifo_counter": {k}, "init": {path_init(m[3], self.g.n)}, '
+                f'"kind": "complete", '
                 f'"path": [{path}], "receiver": {dest}, '
                 f'"round": {m[1]}, "send_time": {sent_at}, '
                 f'"sender": {sender}}}\n')
+
+
+def _path_text_tables(n: int) -> tuple:
+    """(top, tail, cbits, cmask): the trace text of every chunk of c key
+    digits, c = max(1, 8 // bits), so a table has at most 256 entries for
+    n < 256 (64 for K7).  A path's text is top[its top chunk] followed by tail[chunk] for each
+    lower chunk; tail entries start with ", ", and top drops the chunk's
+    leading zero digits, as path_of stops at the key's top digit."""
+    bits = n.bit_length()
+    c = max(1, 8 // bits)
+    cbits = c * bits
+    hop = (1 << bits) - 1
+    top, tail = [], []
+    for chunk in range(1 << cbits):
+        digits = [chunk >> bits * i & hop for i in reversed(range(c))]
+        tail.append("".join(f", {d - 1}" for d in digits))
+        while digits and digits[0] == 0:
+            del digits[0]
+        top.append(", ".join(str(d - 1) for d in digits))
+    return top, tail, cbits, (1 << cbits) - 1
 
 
 # json writes the non-finite floats as these JavaScript literals.
@@ -326,6 +379,11 @@ def admit(g: DiGraph, inputs: list, f: int, K: float, eps: float,
             f"require finite K >= eps > 0, got K={K!r}, eps={eps!r}")
     if not all(_is_real(x) and 0 <= x <= K for x in inputs):
         raise InvalidArgumentError(f"inputs must lie within [0, {K}]")
+    for name in ("max_n", "max_threads", "max_deliveries"):
+        b = getattr(budgets, name)
+        if b is not None and b < 1:
+            raise InvalidArgumentError(
+                f"budget {name} must be at least 1, got {b}")
     if budgets.max_n is not None and g.n > budgets.max_n:
         raise BudgetError(
             f"graph has {g.n} nodes, over the budget of {budgets.max_n}; "

@@ -368,6 +368,36 @@ def test_audit_selftest(capsys):
     assert "expected nonzero" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("argv", [
+    ["--n-max", "0"], ["--n-max", "-2"],
+    ["--n-max", "5", "--samples", "0"], ["--n-max", "5", "--samples", "-1"],
+    ["--n-max", "0", "--selftest"],
+], ids=["n-max-0", "n-max-neg", "samples-0", "samples-neg", "selftest"])
+def test_audit_that_would_check_nothing_is_an_input_error(argv, capsys):
+    # Each of these used to report "0 mismatches", or "(sampled)" after
+    # sampling no graph, and exit 0.
+    assert main(["audit", "--f", "1", *argv]) == 2
+    captured = capsys.readouterr()
+    assert "error: audit" in captured.err and "mismatches" not in captured.out
+
+
+@pytest.mark.parametrize("cmd", ["run", "sweep"])
+@pytest.mark.parametrize("argv", [["--max-n", "0"], ["--max-n", "-1"],
+                                  ["--max-threads", "0"],
+                                  ["--max-threads", "-1"]],
+                         ids=["max-n-0", "max-n-neg", "max-threads-0",
+                              "max-threads-neg"])
+def test_budget_flags_below_one_are_input_errors(tmp_path, capsys, cmd,
+                                                  argv):
+    # These used to exit 3 with "over the budget of -1".
+    cpath = tmp_path / "scenario.json"
+    cpath.write_text(ScenarioConfig(graph="builtin:k4", f=1,
+                                    inputs=[0.0, 1.0, 1.0, 0.0]).to_json())
+    seeds = ["--seeds", "1"] if cmd == "sweep" else []
+    assert main([cmd, str(cpath), *seeds, *argv]) == 2
+    assert "must be at least 1" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # Config round trip
 

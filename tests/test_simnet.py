@@ -7,6 +7,8 @@ import tracemalloc
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reachcons import (BudgetError, Budgets, DiGraph, InvalidArgumentError,
                        RoundSkewDelay, TargetedSlowDelay, UniformDelay,
@@ -140,6 +142,29 @@ def test_run_budget_errors():
     with pytest.raises(BudgetError):
         run(K4, INPUTS4, 1, plan, d, 1.0, 0.25,
             budgets=Budgets(max_deliveries=10))
+
+
+@pytest.mark.parametrize("budget,progress", [
+    (50, "node 0 in round 0, node 1 in round 0, node 2 in round 0"),
+    (118, "node 0 in round 1, node 1 in round 0, node 2 in round 1"),
+    (370, "node 0 done, node 1 in round 2, node 2 in round 2"),
+], ids=["50", "118", "370"])
+def test_delivery_budget_error_names_progress(budget, progress):
+    # Node 3 is faulty (crashed), so only nodes 0..2 are named.
+    with pytest.raises(BudgetError) as e:
+        run(K4, INPUTS4, 1, builtin_plans(K4, 1)["crash-min"],
+            UniformDelay(seed=1), 1.0, 0.25,
+            budgets=Budgets(max_deliveries=budget))
+    assert (f"delivery budget of {budget} exceeded after {budget} "
+            f"deliveries ({progress});") in str(e.value)
+
+
+@pytest.mark.parametrize("field", ["max_n", "max_threads", "max_deliveries"])
+@pytest.mark.parametrize("value", [0, -1])
+def test_budgets_below_one_are_input_errors(field, value):
+    with pytest.raises(InvalidArgumentError, match=field):
+        run(K4, INPUTS4, 1, make_plan("none", {}), UniformDelay(seed=0),
+            1.0, 0.25, budgets=Budgets(**{field: value}))
 
 
 # ---------------------------------------------------------------------------
@@ -284,6 +309,41 @@ def test_trace_line_of_a_hand_built_value(x):
         wire = (COMP_T, 0, (4, payload), path_key(p, 4), 1, m1, 0)
         line = world._trace_record(2, 3, wire, 5, 9)
         assert line == oracle_line(K4, 2, 3, wire, 5, 9)
+    # 0, 0.0 and -0.0 (and 1, 1.0) hash alike and nan equals nothing, so a
+    # world that caches value texts must keep each object's own text.
+    g = clique(7)
+    world = SimWorld(g, 2, 3, make_plan("none", {}), UniformDelay(seed=1),
+                     None)
+    p13 = (0, 1, 2, 3, 4, 5, 6, 0, 1, 2, 3, 4, 5)
+    for y in [0.0, -0.0, 0, 1, 1.0, math.nan, math.inf] * 2:
+        for v in (x, y):
+            for p in ((5,), (6, 5), p13):
+                wire = (VAL_T, 1, v, path_key(p, 7), 1, 0, 0)
+                line = world._trace_record(5, 6, wire, 5, 9)
+                assert line == oracle_line(g, 5, 6, wire, 5, 9)
+    wire = (COMP_T, 0, (4, payload), path_key(p13, 7), 1, 0, 0)
+    assert (world._trace_record(5, 6, wire, 5, 9)
+            == oracle_line(g, 5, 6, wire, 5, 9))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_trace_path_text_matches_path_of(data):
+    # Digits run over the whole width of a hop, so keys carry 0 digits and
+    # digits above n, as junk on a faulty wire can before receivers drop
+    # it; a leading 0 digit makes the key shorter.
+    n = data.draw(st.integers(1, 16))
+    bits = n.bit_length()
+    digits = data.draw(st.lists(st.integers(0, (1 << bits) - 1),
+                                min_size=1, max_size=2 * n - 1))
+    key = 0
+    for d in digits:
+        key = key << bits | d
+    world = SimWorld(DiGraph(n, frozenset()), 0, 1, make_plan("none", {}),
+                     UniformDelay(seed=1), None)
+    line = world._trace_record(0, 0, (VAL_T, 0, 0.5, key, 0, 0, 0), 1, 2)
+    text = line.split('"path": [', 1)[1].split("]", 1)[0]
+    assert text == ", ".join(map(str, path_of(key, n)))
 
 
 def _live_nodes() -> int:
