@@ -130,9 +130,11 @@ class PlanRuntime:
             elif isinstance(b, TamperForward):
                 values.append(b.value_delta)
             for w in named:
-                if w not in g.nodes:
+                # 0.0 and True compare equal to node ids, but are not ones.
+                if (isinstance(w, bool) or not isinstance(w, int)
+                        or w not in g.nodes):
                     raise InvalidArgumentError(
-                        f"plan for node {v!r} names node {w!r}, outside "
+                        f"plan for node {v!r} names node {w!r}, not one of "
                         f"the graph's {g.n} nodes")
             for x in values:
                 if not (isinstance(x, (int, float))

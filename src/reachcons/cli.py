@@ -116,10 +116,40 @@ def _spec_errors(what: str):
         raise InvalidArgumentError(f"bad {what} spec: {e!r}") from e
 
 
+# The keys each kind of behavior or delay spec may hold besides "kind".
+_BEHAVIOR_KEYS = {
+    "crash": {"after"}, "silent": set(), "equivocate": {"values"},
+    "tamper": {"value_delta"},
+    "forge": {"claimed", "omit", "forged_value", "forward"},
+}
+_DELAY_KEYS = {
+    "uniform": {"lo", "hi"},
+    "targeted-slow": {"lo", "hi", "victims", "factor"},
+    "round-skew": {"lo", "hi", "offsets"},
+}
+
+
+def _only_keys(spec: dict, allowed: set, what: str):
+    unknown = set(spec) - allowed
+    if unknown:
+        raise InvalidArgumentError(
+            f"{what} has unknown keys {sorted(unknown, key=repr)}")
+
+
+def _typed(value, kind: type, what: str):
+    """value if its type is kind: no float, string or bool is an int here,
+    and no string is a bool."""
+    if type(value) is not kind:
+        raise InvalidArgumentError(
+            f"{what} must be a JSON {kind.__name__}, got {value!r}")
+    return value
+
+
 def build_plan(spec: dict, g: DiGraph, f: int, K: float) -> adversary.FaultPlan:
     """A plan spec is either {"name": builtin} or an explicit behavior map:
     {"name": ..., "behaviors": {"3": {"kind": "crash", "after": 0}, ...}}."""
     with _spec_errors("plan"):
+        _only_keys(spec, {"name", "behaviors"}, "plan spec")
         if "behaviors" not in spec:
             name = spec.get("name", "crash-min")
             plans = adversary.builtin_plans(g, f, K)
@@ -131,8 +161,12 @@ def build_plan(spec: dict, g: DiGraph, f: int, K: float) -> adversary.FaultPlan:
         for node_s, b in spec["behaviors"].items():
             node = int(node_s)
             kind = b.get("kind")
+            if kind not in _BEHAVIOR_KEYS:
+                raise InvalidArgumentError(f"unknown behavior kind {kind!r}")
+            _only_keys(b, _BEHAVIOR_KEYS[kind] | {"kind"}, f"{kind} behavior")
             if kind == "crash":
-                behaviors[node] = adversary.Crash(int(b.get("after", 0)))
+                behaviors[node] = adversary.Crash(
+                    _typed(b.get("after", 0), int, "after"))
             elif kind == "silent":
                 behaviors[node] = adversary.Silent()
             elif kind == "equivocate":
@@ -142,35 +176,37 @@ def build_plan(spec: dict, g: DiGraph, f: int, K: float) -> adversary.FaultPlan:
             elif kind == "tamper":
                 behaviors[node] = adversary.TamperForward(
                     float(b.get("value_delta", 0.0)))
-            elif kind == "forge":
-                behaviors[node] = adversary.ForgeComplete(
-                    claimed=frozenset(b.get("claimed", [])),
-                    omit=int(b["omit"]),
-                    forged_value=float(b.get("forged_value", 0.5)),
-                    forward=bool(b.get("forward", False)))
             else:
-                raise InvalidArgumentError(f"unknown behavior kind {kind!r}")
+                behaviors[node] = adversary.ForgeComplete(
+                    claimed=frozenset(_typed(w, int, "claimed")
+                                      for w in b.get("claimed", [])),
+                    omit=_typed(b["omit"], int, "omit"),
+                    forged_value=float(b.get("forged_value", 0.5)),
+                    forward=_typed(b.get("forward", False), bool, "forward"))
         return adversary.make_plan(spec.get("name", "custom"), behaviors)
 
 
 def build_delay(spec: dict, seed: int):
     with _spec_errors("delay"):
         kind = spec.get("kind", "uniform")
-        lo = int(spec.get("lo", 1))
-        hi = int(spec.get("hi", 4))
+        if kind not in _DELAY_KEYS:
+            raise InvalidArgumentError(f"unknown delay kind {kind!r}")
+        _only_keys(spec, _DELAY_KEYS[kind] | {"kind"}, f"{kind} delay")
+        lo = _typed(spec.get("lo", 1), int, "lo")
+        hi = _typed(spec.get("hi", 2 if kind == "round-skew" else 4), int,
+                    "hi")
         if kind == "uniform":
             return simnet.UniformDelay(seed, lo, hi)
         if kind == "targeted-slow":
-            victims = frozenset((int(a), int(b))
-                                for a, b in spec.get("victims", []))
-            return simnet.TargetedSlowDelay(seed, victims,
-                                            int(spec.get("factor", 5)), lo, hi)
-        if kind == "round-skew":
-            offsets = {int(v): int(o)
-                       for v, o in spec.get("offsets", {}).items()}
-            return simnet.RoundSkewDelay(seed, offsets, lo,
-                                         int(spec.get("hi", 2)))
-        raise InvalidArgumentError(f"unknown delay kind {kind!r}")
+            victims = frozenset(
+                (_typed(a, int, "victims"), _typed(b, int, "victims"))
+                for a, b in spec.get("victims", []))
+            return simnet.TargetedSlowDelay(
+                seed, victims, _typed(spec.get("factor", 5), int, "factor"),
+                lo, hi)
+        offsets = {int(v): _typed(o, int, "offsets")
+                   for v, o in spec.get("offsets", {}).items()}
+        return simnet.RoundSkewDelay(seed, offsets, lo, hi)
 
 
 def metrics_csv(metrics: simnet.RunMetrics) -> str:

@@ -491,76 +491,23 @@ def count_disjoint_paths(g: DiGraph, C: frozenset, A: frozenset,
                          b: int) -> int:
     """Max internally node-disjoint (A,b)-paths inside the subgraph on C.
 
-    Paths may share only the target b, so every node except b has
-    capacity 1 in the node-splitting max flow network.
+    Paths may share only the target b.  By Menger's theorem that is the
+    size of the smallest node cut: a set of nodes of C, without b, whose
+    removal leaves no node of A reaching b.  Cuts are tried in (size, lex)
+    order over the reach rows, so the cost is exponential in |A|.
     """
     C = frozenset(C)
     A = frozenset(A)
     if not A <= C or b not in C or b in A:
         raise InvalidArgumentError(
             "require A within C, target in C, target not in A")
-    cmask = mask_of(C)
-    n = g.n
-    INF = n + 1
-    # Flow network nodes: 2*u = u_in, 2*u+1 = u_out, source = 2*n.
-    SRC = 2 * n
-    SINK = 2 * b
-    cap: dict = {}
-
-    def add(u, v, c):
-        cap[(u, v)] = cap.get((u, v), 0) + c
-        cap.setdefault((v, u), 0)
-
-    adj: dict = {}
-
-    def link(u, v, c):
-        add(u, v, c)
-        adj.setdefault(u, set()).add(v)
-        adj.setdefault(v, set()).add(u)
-
-    for u in C:
-        link(2 * u, 2 * u + 1, INF if u == b else 1)
-        rest = g.out_masks[u] & cmask
-        w = 0
-        while rest:
-            if rest & 1:
-                link(2 * u + 1, 2 * w, INF)
-            rest >>= 1
-            w += 1
-    for a in A:
-        link(SRC, 2 * a, INF)
-
-    flow = 0
-    while True:
-        # BFS for an augmenting path in the residual network.
-        parent = {SRC: None}
-        queue = [SRC]
-        qi = 0
-        while qi < len(queue) and SINK not in parent:
-            u = queue[qi]
-            qi += 1
-            for v in sorted(adj.get(u, ())):
-                if v not in parent and cap.get((u, v), 0) > 0:
-                    parent[v] = u
-                    queue.append(v)
-        if SINK not in parent:
-            return flow
-        # Unit capacities on internal nodes make each augmentation worth 1.
-        bottleneck = INF
-        v = SINK
-        while parent[v] is not None:
-            u = parent[v]
-            bottleneck = min(bottleneck, cap[(u, v)])
-            v = u
-        v = SINK
-        while parent[v] is not None:
-            u = parent[v]
-            cap[(u, v)] -= bottleneck
-            cap[(v, u)] += bottleneck
-            v = u
-        flow += bottleneck
-        if flow > n:
-            raise AssertionError("flow exceeded node count")
+    amask = mask_of(A)
+    outside = g.full_mask & ~mask_of(C)
+    for cut in subset_masks(g.n, len(A)):
+        if not cut & outside and not cut >> b & 1 and not (
+                _reach_row(g, outside | cut)[b] & amask):
+            return cut.bit_count()
+    raise AssertionError("A itself cuts every (A,b)-path")
 
 
 def propagates(g: DiGraph, A: frozenset, B: frozenset, C: frozenset,

@@ -176,14 +176,15 @@ class SimWorld:
             self.pending_honest -= 1
 
     def send(self, sender: int, dest: int, wire: tuple):
+        """The faulty path of send_flood: queue what the plan makes of one
+        send from a faulty sender."""
         # Appending to the bucket of the delivery time keeps send order
         # within a time; the heap holds each distinct time once.
         now = self.time
         inert = dest in self.inert
         traced = self.trace is not None
-        for m in (self.plan_rt.intercept(sender, dest, wire,
-                                         self.nodes[sender])
-                  if sender in self._faulty else (wire,)):
+        for m in self.plan_rt.intercept(sender, dest, wire,
+                                        self.nodes[sender]):
             t = now + self._delay(sender, dest)
             bucket = self.buckets.get(t)
             if bucket is None:
@@ -381,10 +382,11 @@ def admit(g: DiGraph, inputs: list, f: int, K: float, eps: float,
         raise InvalidArgumentError(f"inputs must lie within [0, {K}]")
     for name in ("max_n", "max_threads", "max_deliveries"):
         b = getattr(budgets, name)
-        if b is not None and b < 1:
+        if isinstance(b, bool) or not isinstance(b, int) or b < 1:
             raise InvalidArgumentError(
-                f"budget {name} must be at least 1, got {b}")
-    if budgets.max_n is not None and g.n > budgets.max_n:
+                f"budget {name} must be at least 1 and an integer, "
+                f"got {b!r}")
+    if g.n > budgets.max_n:
         raise BudgetError(
             f"graph has {g.n} nodes, over the budget of {budgets.max_n}; "
             f"flood volume grows exponentially with n")

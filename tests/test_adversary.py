@@ -110,6 +110,18 @@ def test_forge_emits_one_complete_per_round():
     assert rt.intercept(3, 0, fwd_wire(3, 1), node) == []
 
 
+@pytest.mark.parametrize("behavior", [
+    ForgeComplete(claimed=frozenset({0.0}), omit=1),
+    ForgeComplete(claimed=frozenset({True}), omit=2),
+    ForgeComplete(claimed=frozenset({0}), omit=1.0),
+    Equivocate(((False, 0.5),)),
+], ids=["float-claimed", "bool-claimed", "float-omit", "bool-dest"])
+def test_plan_node_ids_must_be_ints(behavior):
+    # Each compares equal to a node id of K4, but is not one.
+    with pytest.raises(InvalidArgumentError, match="names node"):
+        make_rt(behavior)
+
+
 def test_intercept_rejects_paths_not_ending_at_sender():
     rt = make_rt(Crash(5))
     node = SimpleNamespace(fifo_sent=0)

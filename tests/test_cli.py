@@ -468,9 +468,26 @@ def test_run_rejects_non_finite_behaviour_values(tmp_path, capsys, behavior):
     '"claimed": [7]}}}}' % K4_CONFIG,
     '{%s, "plan": {"behaviors": {"3": {"kind": "equivocate", '
     '"values": {"9": 0.5}}}}}' % K4_CONFIG,
+    # Node ids are JSON integers: 0.0 would crash the run, true is node 1.
+    '{%s, "plan": {"behaviors": {"3": {"kind": "forge", "omit": 1, '
+    '"claimed": [0.0]}}}}' % K4_CONFIG,
+    '{%s, "plan": {"behaviors": {"3": {"kind": "forge", "omit": 1, '
+    '"claimed": [true]}}}}' % K4_CONFIG,
+    # Spec fields are read as their JSON type, not coerced to it.
+    '{%s, "plan": {"behaviors": {"3": {"kind": "forge", "omit": 1, '
+    '"forward": "false"}}}}' % K4_CONFIG,
+    '{%s, "plan": {"behaviors": {"3": {"kind": "crash", "after": 2.7}}}}'
+    % K4_CONFIG,
+    '{%s, "delay": {"lo": "2"}}' % K4_CONFIG,
+    # A key that the spec's kind does not have is not ignored.
+    '{%s, "delay": {"kind": "targeted-slow", "factr": 7}}' % K4_CONFIG,
+    '{%s, "plan": {"name": "crash-min", "behaviours": '
+    '{"3": {"kind": "silent"}}}}' % K4_CONFIG,
 ], ids=["str-f", "str-K", "str-delay-lo", "str-plan", "int-graph",
         "not-an-object", "crash-node-outside", "forge-node-outside",
-        "equivocate-dest-outside"])
+        "equivocate-dest-outside", "float-claimed", "bool-claimed",
+        "str-forward", "float-after", "numeric-str-delay-lo",
+        "misspelt-delay-key", "extra-plan-key"])
 def test_run_rejects_mistyped_config_fields(tmp_path, capsys, text):
     cpath = tmp_path / "scenario.json"
     cpath.write_text(text)

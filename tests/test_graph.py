@@ -1,4 +1,5 @@
-"""Graph primitives: reach sets, redundant paths, covers, components, flows.
+"""Graph primitives: reach sets, redundant paths, covers, components and
+disjoint paths.
 
 Oracles here are independent brute-force implementations kept deliberately
 dumb: walk enumeration with split checking for redundant paths, recursive
@@ -438,6 +439,27 @@ def test_disjoint_paths_match_oracle():
         rest = sorted(C - {b})
         if not rest:
             continue
+        A = frozenset(rng.sample(rest, rng.randrange(1, len(rest) + 1)))
+        assert count_disjoint_paths(g, C, A, b) == _disjoint_oracle(
+            g, C, A, b)
+    # Every digraph on 2 or 3 nodes with every (C, A, b): 968 cases.
+    for n in (2, 3):
+        subsets = [frozenset(s) for k in range(n + 1)
+                   for s in combinations(range(n), k)]
+        for g in all_digraphs(n):
+            for C in subsets:
+                for b in sorted(C):
+                    for A in subsets:
+                        if A and A <= C - {b}:
+                            assert count_disjoint_paths(
+                                g, C, A, b) == _disjoint_oracle(g, C, A, b)
+    # Seeded random cases on 4 to 7 nodes, sparse to dense.
+    rng = random.Random(31)
+    for _ in range(1000):
+        g = random_graph(rng, rng.randrange(4, 8), rng.uniform(0.2, 0.8))
+        C = frozenset(rng.sample(range(g.n), rng.randrange(2, g.n + 1)))
+        b = rng.choice(sorted(C))
+        rest = sorted(C - {b})
         A = frozenset(rng.sample(rest, rng.randrange(1, len(rest) + 1)))
         assert count_disjoint_paths(g, C, A, b) == _disjoint_oracle(
             g, C, A, b)

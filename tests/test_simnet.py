@@ -160,7 +160,7 @@ def test_delivery_budget_error_names_progress(budget, progress):
 
 
 @pytest.mark.parametrize("field", ["max_n", "max_threads", "max_deliveries"])
-@pytest.mark.parametrize("value", [0, -1])
+@pytest.mark.parametrize("value", [0, -1, None, 2.5, "9", True])
 def test_budgets_below_one_are_input_errors(field, value):
     with pytest.raises(InvalidArgumentError, match=field):
         run(K4, INPUTS4, 1, make_plan("none", {}), UniformDelay(seed=0),
