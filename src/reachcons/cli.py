@@ -145,6 +145,24 @@ def _typed(value, kind: type, what: str):
     return value
 
 
+def _node_id(key: str, what: str) -> int:
+    """The node a spec's object key names.  A key must be a canonical
+    decimal string, so "+3", "03", " 1" and "1_0" name no node."""
+    if not (isinstance(key, str) and key.isascii() and key.isdigit()
+            and key == str(int(key))):
+        raise InvalidArgumentError(
+            f"{what} keys must be node ids written in decimal, got {key!r}")
+    return int(key)
+
+
+def _real(value, what: str) -> float:
+    """value as a float if it is a JSON number: no string or bool is one."""
+    if type(value) not in (int, float):
+        raise InvalidArgumentError(
+            f"{what} must be a finite real JSON number, got {value!r}")
+    return float(value)
+
+
 def build_plan(spec: dict, g: DiGraph, f: int, K: float) -> adversary.FaultPlan:
     """A plan spec is either {"name": builtin} or an explicit behavior map:
     {"name": ..., "behaviors": {"3": {"kind": "crash", "after": 0}, ...}}."""
@@ -159,7 +177,7 @@ def build_plan(spec: dict, g: DiGraph, f: int, K: float) -> adversary.FaultPlan:
             return plans[name]
         behaviors = {}
         for node_s, b in spec["behaviors"].items():
-            node = int(node_s)
+            node = _node_id(node_s, "behaviors")
             kind = b.get("kind")
             if kind not in _BEHAVIOR_KEYS:
                 raise InvalidArgumentError(f"unknown behavior kind {kind!r}")
@@ -170,18 +188,20 @@ def build_plan(spec: dict, g: DiGraph, f: int, K: float) -> adversary.FaultPlan:
             elif kind == "silent":
                 behaviors[node] = adversary.Silent()
             elif kind == "equivocate":
-                vals = tuple(sorted((int(w), float(x))
-                                    for w, x in b["values"].items()))
+                vals = tuple(sorted(
+                    (_node_id(w, "values"), _real(x, "values"))
+                    for w, x in b["values"].items()))
                 behaviors[node] = adversary.Equivocate(vals)
             elif kind == "tamper":
                 behaviors[node] = adversary.TamperForward(
-                    float(b.get("value_delta", 0.0)))
+                    _real(b.get("value_delta", 0.0), "value_delta"))
             else:
                 behaviors[node] = adversary.ForgeComplete(
                     claimed=frozenset(_typed(w, int, "claimed")
                                       for w in b.get("claimed", [])),
                     omit=_typed(b["omit"], int, "omit"),
-                    forged_value=float(b.get("forged_value", 0.5)),
+                    forged_value=_real(b.get("forged_value", 0.5),
+                                       "forged_value"),
                     forward=_typed(b.get("forward", False), bool, "forward"))
         return adversary.make_plan(spec.get("name", "custom"), behaviors)
 
@@ -204,7 +224,7 @@ def build_delay(spec: dict, seed: int):
             return simnet.TargetedSlowDelay(
                 seed, victims, _typed(spec.get("factor", 5), int, "factor"),
                 lo, hi)
-        offsets = {int(v): _typed(o, int, "offsets")
+        offsets = {_node_id(v, "offsets"): _typed(o, int, "offsets")
                    for v, o in spec.get("offsets", {}).items()}
         return simnet.RoundSkewDelay(seed, offsets, lo, hi)
 
@@ -247,6 +267,11 @@ def _execute(config: ScenarioConfig, seed: int, force: bool,
     g = load_graph(config.graph)
     plan = build_plan(config.plan, g, config.f, config.K)
     delay = build_delay(config.delay, seed)
+    outside = sorted(_delay_nodes(delay) - set(g.nodes))
+    if outside:
+        raise InvalidArgumentError(
+            f"delay spec names nodes {outside}, not among the graph's "
+            f"{g.n} nodes")
     # Refuse before simulating, but after the checks that the run makes
     # first, so each input keeps its exit code.
     simnet.admit(g, config.inputs, config.f, config.K, config.eps, budgets)
@@ -261,6 +286,16 @@ def _execute(config: ScenarioConfig, seed: int, force: bool,
                              trace=trace)
         (write or sys.stdout.write)(metrics_csv(metrics))
     return metrics
+
+
+def _delay_nodes(delay) -> set:
+    """The nodes a delay policy names: its victim edges' ends, or the
+    senders it offsets."""
+    if isinstance(delay, simnet.TargetedSlowDelay):
+        return {v for edge in delay.victims for v in edge}
+    if isinstance(delay, simnet.RoundSkewDelay):
+        return set(delay.offsets)
+    return set()
 
 
 @contextmanager

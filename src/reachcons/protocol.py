@@ -15,9 +15,15 @@ A path of either message kind travels and is stored as one int, its key
 (`path_key`): one digit of `n.bit_length()` bits per hop, node v written as
 v + 1, first node most significant.  Extending a path is a shift and an or,
 the key is its own canonical id, and a node's VALUE history maps keys to one
-shared (value, node mask) record per distinct pair.  Both kinds carry the
-key's walk state, which `adversary.PlanRuntime.intercept` sets on every
-faulty emission, so receivers check nothing but the last hop and the phase.
+shared (value, node mask) record per distinct pair.  A history is keyed by
+the incoming key p, the one the wire brought, rather than by its extension
+q = p << bits | (me + 1): at one receiver the two map one to one, and p is
+an int object the sender already shares with its other receivers, so an
+entry allocates no key of its own.  A wire's sender is its key's last hop
+(honest wires are built so, and `adversary.PlanRuntime.intercept` refuses
+any faulty emission that is not), so queued wires carry no sender.  Both
+kinds carry the key's walk state, which `intercept` sets on every faulty
+emission, so receivers check nothing but the phase.
 """
 
 from __future__ import annotations
@@ -157,13 +163,15 @@ class RoundState:
 
     def __init__(self, r, threads):
         self.r = r
-        self.path_first = {}  # key -> (first value received on it, node mask)
+        # Keyed by the incoming key p; the path itself is p extended by
+        # this node, and the own value's is p = 0.
+        self.path_first = {}  # p -> (first value received on it, node mask)
         self.recs = {}  # (value, node mask) -> the one record shared by keys
-        self.extras = set()  # duplicate-path (value, key) pairs
+        self.extras = set()  # duplicate-path (value, p) pairs
         self.by_init_value = {}  # (init, value) -> set of path masks
         self.threads = threads
         self.nextround = False
-        self.comp_paths = {}  # (init, counter, payload) -> set of path keys
+        self.comp_paths = {}  # (init, counter, payload) -> set of p keys
         self.watched = set()  # (init, value) pairs blocking some verify
         self.qual_threads = set()
         self.dirty = set()
@@ -192,7 +200,9 @@ class Node:
         self.fifo_sent = 0
         self.frontier = {}  # initiator -> max contiguous counter received
         self.got = {}  # initiator -> counters received beyond the frontier
-        self.future = {}  # round -> buffered (sender, wire) arrivals
+        # round -> buffered wires of rounds not yet started; a wire's
+        # sender is its key's last hop, so none is kept.
+        self.future = {}
         self.rounds = {}
         g = self.g
         self.out_list = g.out_neighbors(me)
@@ -254,18 +264,16 @@ class Node:
         self.rounds[r] = rstate
         # The own value arrives on the empty path; extended by this node it
         # is the one-node path, recorded and flooded.
-        self._receive_value(rstate, self.me,
-                            (VAL_T, r, self.x[r], 0, 1, 0, 0))
+        self._receive_value(rstate, (VAL_T, r, self.x[r], 0, 1, 0, 0))
         self._sweep(rstate)
-        for sender, msg in self.future.pop(r, ()):
-            self.on_deliver(sender, msg)
+        for msg in self.future.pop(r, ()):
+            self.on_deliver(msg)
 
     # -- delivery dispatch -------------------------------------------------
 
-    def on_deliver(self, sender: int, msg: tuple):
-        # The last hop must be the sender; phase 0 marks a key that is not a
-        # path of its kind.
-        if msg[3] & self._hop != sender + 1 or not msg[4]:
+    def on_deliver(self, msg: tuple):
+        # Phase 0 marks a key that is not a path of its kind.
+        if not msg[4]:
             return
         value = msg[0] == VAL_T
         if not value:
@@ -277,30 +285,32 @@ class Node:
                 return
         rnd = msg[1]
         if rnd > self.round:
-            self.future.setdefault(rnd, []).append((sender, msg))
+            self.future.setdefault(rnd, []).append(msg)
             return
         rstate = self.rounds.get(rnd)
         if rstate is None:
             return
         if value:
-            self._receive_value(rstate, sender, msg)
+            self._receive_value(rstate, msg)
         else:
-            self._receive_complete(rstate, sender, msg)
+            self._receive_complete(rstate, msg)
         if rstate.dirty and not rstate.nextround:
             self._sweep(rstate)
 
     # -- value recording ---------------------------------------------------
 
-    def _receive_value(self, rstate, sender, msg):
+    def _receive_value(self, rstate, msg):
         """Extend a VALUE wire's path and walk state by this node, record
-        the path, forward it if new, and count it against its threads."""
+        the path under its incoming key, forward it if new, and count it
+        against its threads."""
         _, r, x, p, phase, m1, m2 = msg
         me = self.me
         bit = 1 << me
         if phase == 1:
             if m1 & bit:
+                # The second segment opens at the sender: p's last hop.
                 phase = 2
-                m2 = (1 << sender) | bit
+                m2 = (1 << (p & self._hop) - 1) | bit
             else:
                 m1 |= bit
         elif m2 & bit:
@@ -312,15 +322,15 @@ class Node:
         qmask = m1 | m2
         init = (q >> bits * ((q.bit_length() - 1) // bits)) - 1  # path_init
         pf = rstate.path_first
-        prior = pf.get(q)
+        prior = pf.get(p)
         if prior is not None:
-            if prior[0] == x or (x, q) in rstate.extras:
+            if prior[0] == x or (x, p) in rstate.extras:
                 return
-            rstate.extras.add((x, q))
+            rstate.extras.add((x, p))
             self._mark_value(rstate, init, x, qmask)
             return
         rec = (x, qmask)
-        pf[q] = rstate.recs.setdefault(rec, rec)
+        pf[p] = rstate.recs.setdefault(rec, rec)
         if phase == 1:
             dests = self.out_list
         else:
@@ -380,13 +390,13 @@ class Node:
         if self._note_counter(me, k):
             self._wake_all()
         # As the own value does, the announcement arrives on the empty path.
-        self._receive_complete(rstate, me,
+        self._receive_complete(rstate,
                                (COMP_T, rstate.r, (k, payload), 0, 1, 0, 0))
 
-    def _receive_complete(self, rstate, sender, msg):
+    def _receive_complete(self, rstate, msg):
         """Extend a COMPLETE wire's simple path by this node, record the
-        path, forward it if new, and count it against the threads whose
-        reach holds it."""
+        path under its incoming key, forward it if new, and count it
+        against the threads whose reach holds it."""
         _, r, body, p, _, m1, _ = msg
         me = self.me
         q = p << self._bits | (me + 1)
@@ -395,9 +405,9 @@ class Node:
         k, payload = body
         key = (init, k, payload)
         seen = rstate.comp_paths.setdefault(key, set())
-        if q in seen:
+        if p in seen:
             return
-        seen.add(q)
+        seen.add(p)
         dests = self._fwd2.get(qmask)
         if dests is None:
             dests = self._fwd2[qmask] = [w for w in self.out_list
@@ -513,9 +523,10 @@ class Node:
 
     def _filter_and_average(self, rstate, t: Thread):
         pf = rstate.path_first
-        # Bucket keys by value; within a bucket keys are unique, so only the
-        # two boundary buckets ever need path order.  A duplicate-path key
-        # is in path_first too, whose record gives its node mask.
+        # Bucket incoming keys by value; within a bucket keys are unique, so
+        # only the two boundary buckets ever need path order.  A
+        # duplicate-path key is in path_first too, whose record gives its
+        # node mask.
         groups: dict = {}
         for p, (v, _) in pf.items():
             gr = groups.get(v)
@@ -542,14 +553,18 @@ class Node:
                 "filter-and-average trimmed the whole vector")
         lo_val, hi_val = vals[glo], vals[ghi]
         # Sort a boundary bucket by path_order, inlined: (aligned key, mask)
-        # pairs, whose aligned keys order as the path tuples do.
+        # pairs, whose aligned keys order as the path tuples do.  The path
+        # of an incoming key p is q = p << bits | (me + 1).
         bits = self._bits
         width = 2 * self.g.n - 1
         top = bits * width
+        last = self.me + 1
 
         def aligned(keys):
-            return sorted([(p << bits * (width - (p.bit_length() - 1) // bits),
-                            pf[p][1]) for p in keys])
+            return sorted([
+                ((q := p << bits | last)
+                 << bits * (width - (q.bit_length() - 1) // bits), pf[p][1])
+                for p in keys])
 
         lo_items = aligned(groups[lo_val])
         hi_items = lo_items if glo == ghi else aligned(groups[hi_val])

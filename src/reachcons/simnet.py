@@ -5,7 +5,9 @@ positive delay into the FIFO bucket of its delivery time, and buckets are
 drained in time order, so events arrive in (time, send order) order and runs
 are bit-for-bit reproducible from (graph, inputs, plan, policy).  Links are
 reliable but unordered; ordering guarantees come only from the protocol's
-own counters.
+own counters.  A wire's sender is its key's last hop, which
+`PlanRuntime.intercept` enforces on every faulty emission, so an event
+holds no sender: its trace line reads it from the key.
 
 Faulty nodes whose behaviour can never emit (`FaultPlan.inert`) are not
 simulated: deliveries to them are counted and traced, then discarded.  Such
@@ -143,10 +145,10 @@ class SimWorld:
         self._faulty = plan.faulty
         self._delay = delay.delay
         self.time = 0
-        # deliver time -> [(sender, dest, wire, sent_at)] in send order, and
-        # a heap of the distinct deliver times.  A send to an inert node is
-        # queued as None; a traced run follows it with what its trace line
-        # needs (_queue_traced_inert).
+        # deliver time -> [(dest, wire, sent_at)] in send order, and a heap
+        # of the distinct deliver times.  A send to an inert node is queued
+        # as None; a traced run follows it with what its trace line needs
+        # (_queue_traced_inert).
         self.buckets: dict = {}
         self.times: list = []
         self.inert = plan.inert
@@ -156,6 +158,7 @@ class SimWorld:
         self.trace = trace
         # Text caches of _trace_record, filled as traced lines need them.
         self._path_text = None
+        self._hop = (1 << g.n.bit_length()) - 1  # a key's last digit
         self._value_text: dict = {}
         self._cover_cands: dict = {}
         self.all_candidate_masks = tuple(sorted(subset_masks(g.n, f)))
@@ -191,9 +194,9 @@ class SimWorld:
                 bucket = self.buckets[t] = []
                 heapq.heappush(self.times, t)
             if not inert:
-                bucket.append((sender, dest, m, now))
+                bucket.append((dest, m, now))
             elif traced:
-                self._queue_traced_inert(bucket, sender, dest, m, now)
+                self._queue_traced_inert(bucket, dest, m, now)
             else:
                 bucket.append(None)
 
@@ -220,9 +223,9 @@ class SimWorld:
                 bucket = buckets[t] = []
                 heapq.heappush(self.times, t)
             if dest not in inert:
-                bucket.append((sender, dest, wire, now))
+                bucket.append((dest, wire, now))
             elif traced:
-                self._queue_traced_inert(bucket, sender, dest, wire, now)
+                self._queue_traced_inert(bucket, dest, wire, now)
             else:
                 bucket.append(None)
 
@@ -252,12 +255,12 @@ class SimWorld:
                     if trace is not None:
                         trace(self._traced_inert_line(events, t))
                     continue
-                sender, dest, m, sent_at = event
+                dest, m, sent_at = event
                 if trace is not None:
-                    trace(self._trace_record(sender, dest, m, sent_at, t))
+                    trace(self._trace_record(dest, m, sent_at, t))
                 handler = handlers[dest]
                 if handler is not None:
-                    handler(sender, m)
+                    handler(m)
         self.deliveries = delivered
 
     def _budget_error(self, budget: int) -> BudgetError:
@@ -273,21 +276,23 @@ class SimWorld:
             f"for explicit simulation")
 
     @staticmethod
-    def _queue_traced_inert(bucket: list, sender, dest, wire, now):
-        # None, then the fields flat: no tuple per send, and no wire kept
-        # alive after its handled deliveries.  A line needs only the wire's
-        # first four fields.
-        bucket += (None, sender, dest, now) + wire[:4]
+    def _queue_traced_inert(bucket: list, dest, wire, now):
+        # None, dest and send time, then the wire's first four fields flat:
+        # no tuple per send, and no wire kept alive after its handled
+        # deliveries.  A line needs no more, and the sender is the key's
+        # last hop.
+        bucket += (None, dest, now) + wire[:4]
 
     def _traced_inert_line(self, events, t) -> str:
         """The trace line of a delivery that _queue_traced_inert queued,
         read from the bucket iterator just past its None."""
-        sender, dest, sent_at, *m = islice(events, 7)
-        return self._trace_record(sender, dest, m, sent_at, t)
+        dest, sent_at, *m = islice(events, 6)
+        return self._trace_record(dest, m, sent_at, t)
 
-    def _trace_record(self, sender, dest, m, sent_at, t) -> str:
+    def _trace_record(self, dest, m, sent_at, t) -> str:
         """The delivery's JSONL line, byte for byte what
-        `json.dumps(record, sort_keys=True) + "\\n"` writes."""
+        `json.dumps(record, sort_keys=True) + "\\n"` writes.  The sender
+        is the key's last hop."""
         # The path's text is read chunk by chunk from the bottom of its key
         # (see _path_text_tables), never decoded to nodes.
         tables = self._path_text
@@ -295,6 +300,7 @@ class SimWorld:
             tables = self._path_text = _path_text_tables(self.g.n)
         top, tail, cbits, cmask = tables
         key = m[3]
+        sender = (key & self._hop) - 1
         path = ""
         while key > cmask:
             path = tail[key & cmask] + path

@@ -15,6 +15,7 @@ from reachcons.adversary import PlanRuntime
 from reachcons.graph import _walk_state
 from reachcons.protocol import (COMP_T, VAL_T, Node, PayloadView, path_init,
                                 path_key, path_of)
+from reachcons.simnet import SimWorld
 from test_golden import K4_INPUTS, K4_PINS, K7_INPUTS, delay_policy
 
 
@@ -254,7 +255,7 @@ def check_wire_states(monkeypatch, g):
     deliver = Node.on_deliver
     phases = {VAL_T: [], COMP_T: []}
 
-    def checked(self, sender, msg):
+    def checked(self, msg):
         p = path_of(msg[3], g.n)
         if msg[0] == VAL_T:
             state = _walk_state(g, p)
@@ -264,7 +265,7 @@ def check_wire_states(monkeypatch, g):
         else:
             assert msg[4:] == (0, 0, 0)
         phases[msg[0]].append(msg[4])
-        deliver(self, sender, msg)
+        deliver(self, msg)
 
     monkeypatch.setattr(Node, "on_deliver", checked)
     return phases
@@ -316,6 +317,43 @@ def test_delivered_wire_states_are_walk_states(monkeypatch, case, plan, di):
     assert 0 not in phases[COMP_T]
 
 
+@pytest.mark.parametrize("case,plan,di", WIRE_CASES)
+def test_every_queued_wire_ends_at_its_sender(monkeypatch, case, plan, di):
+    # Events and buffered wires carry no sender: the receiver and the trace
+    # read it from the key's last hop.  Honest senders queue through
+    # send_flood, and a faulty sender's emissions leave intercept.
+    hop = (1 << K4.n.bit_length()) - 1
+    checked = {"honest": 0, "faulty": 0}
+    send_flood = SimWorld.send_flood
+    intercept = PlanRuntime.intercept
+
+    def honest(self, sender, dests, wire):
+        if sender not in self._faulty:
+            assert wire[3] & hop == sender + 1
+            checked["honest"] += 1
+        return send_flood(self, sender, dests, wire)
+
+    def faulty(self, sender, dest, wire, node):
+        out = intercept(self, sender, dest, wire, node)
+        for m in out:
+            assert m[3] & hop == sender + 1
+        checked["faulty"] += len(out)
+        return out
+
+    monkeypatch.setattr(SimWorld, "send_flood", honest)
+    monkeypatch.setattr(PlanRuntime, "intercept", faulty)
+    if case == "golden":
+        run(K4, K4_INPUTS, 1, builtin_plans(K4, 1)[plan],
+            delay_policy(di, 4), 1.0, 0.25)
+    else:
+        forge_prefixes(monkeypatch, forged_keys(K4, 3, plan))
+        run(K4, [0.0, 1.0, 1.0, 0.0], 1, REPRO_PLAN, UniformDelay(seed=di),
+            1.0, 0.25)
+    assert checked["honest"]
+    # Crashed senders emit nothing; every other faulty sender emits.
+    assert bool(checked["faulty"]) == (not plan.startswith("crash"))
+
+
 def test_junk_complete_paths_are_dropped(monkeypatch):
     # Node 3 relays every COMPLETE honestly and also with junk keys, each
     # claiming the state (1, {3}, 0): one that repeats the initiator, one
@@ -337,9 +375,9 @@ def test_junk_complete_paths_are_dropped(monkeypatch):
     counted = []
     receive = Node._receive_complete
 
-    def spy(self, rstate, sender, msg):
+    def spy(self, rstate, msg):
         counted.append(path_of(msg[3], 4) + (self.me,))
-        return receive(self, rstate, sender, msg)
+        return receive(self, rstate, msg)
 
     phases = check_wire_states(monkeypatch, K4)
     monkeypatch.setattr(PlanRuntime, "_apply", junk)

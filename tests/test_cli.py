@@ -483,11 +483,34 @@ def test_run_rejects_non_finite_behaviour_values(tmp_path, capsys, behavior):
     '{%s, "delay": {"kind": "targeted-slow", "factr": 7}}' % K4_CONFIG,
     '{%s, "plan": {"name": "crash-min", "behaviours": '
     '{"3": {"kind": "silent"}}}}' % K4_CONFIG,
+    # A node id key is written in decimal: "+3", "03" and " 1" are not
+    # nodes 3 and 1, and "1_0" is not node 10.
+    '{%s, "plan": {"behaviors": {"+3": {"kind": "crash"}}}}' % K4_CONFIG,
+    '{%s, "plan": {"behaviors": {"03": {"kind": "crash"}}}}' % K4_CONFIG,
+    '{%s, "plan": {"behaviors": {"3": {"kind": "equivocate", '
+    '"values": {" 1": 0.5}}}}}' % K4_CONFIG,
+    '{%s, "delay": {"kind": "round-skew", "offsets": {"1_0": 3}}}'
+    % K4_CONFIG,
+    # A delay may name only nodes of the graph.
+    '{%s, "delay": {"kind": "targeted-slow", "victims": [[0, 9]]}}'
+    % K4_CONFIG,
+    '{%s, "delay": {"kind": "round-skew", "offsets": {"9": 3}}}'
+    % K4_CONFIG,
+    # Behaviour values are JSON numbers, not strings or bools.
+    '{%s, "plan": {"behaviors": {"3": {"kind": "tamper", '
+    '"value_delta": "0.3"}}}}' % K4_CONFIG,
+    '{%s, "plan": {"behaviors": {"3": {"kind": "forge", "omit": 1, '
+    '"forged_value": "0.25"}}}}' % K4_CONFIG,
+    '{%s, "plan": {"behaviors": {"3": {"kind": "equivocate", '
+    '"values": {"0": true}}}}}' % K4_CONFIG,
 ], ids=["str-f", "str-K", "str-delay-lo", "str-plan", "int-graph",
         "not-an-object", "crash-node-outside", "forge-node-outside",
         "equivocate-dest-outside", "float-claimed", "bool-claimed",
         "str-forward", "float-after", "numeric-str-delay-lo",
-        "misspelt-delay-key", "extra-plan-key"])
+        "misspelt-delay-key", "extra-plan-key", "plus-node-key",
+        "zero-padded-node-key", "space-equivocate-key",
+        "underscore-offsets-key", "victim-outside", "offsets-outside",
+        "str-value-delta", "str-forged-value", "bool-equivocate-value"])
 def test_run_rejects_mistyped_config_fields(tmp_path, capsys, text):
     cpath = tmp_path / "scenario.json"
     cpath.write_text(text)

@@ -11,9 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reachcons import (DiGraph, ProtocolIntegrityError, TamperForward,
-                       UniformDelay, builtin_plans, enumerate_redundant_paths,
-                       make_plan, message_set, run)
+from reachcons import (DiGraph, Equivocate, ProtocolIntegrityError,
+                       TamperForward, UniformDelay, assert_round_invariants,
+                       builtin_plans, enumerate_redundant_paths, make_plan,
+                       message_set, run)
 from reachcons.adversary import Crash
 from reachcons.graph import mask_of
 from reachcons.protocol import (Node, PayloadView, candidate_sets,
@@ -216,16 +217,21 @@ def test_thread_latches_exactly_when_its_history_is_full(monkeypatch, plan):
     seen = []
 
     def counted_latch(self, rstate, t):
-        keys = {p for p, (_, m) in rstate.path_first.items()
+        # A history is keyed by the incoming key p; its path is p extended
+        # by this node.
+        def q(p):
+            return p << 3 | (self.me + 1)
+
+        keys = {q(p) for p, (_, m) in rstate.path_first.items()
                 if not m & t.fvmask}
         assert keys == {path_key(p.nodes, 4) for p in
                         enumerate_redundant_paths(K4, t.fvset, self.me)}
         seen.append((len(keys), t.universe_total))
-        history = {(path_init(p, 4), x)
+        history = {(path_init(q(p), 4), x)
                    for p, (x, m) in rstate.path_first.items()
                    if not m & t.fvmask}
-        history |= {(path_init(p, 4), x) for x, p in rstate.extras
-                    if not mask_of(path_of(p, 4)) & t.fvmask}
+        history |= {(path_init(q(p), 4), x) for x, p in rstate.extras
+                    if not mask_of(path_of(q(p), 4)) & t.fvmask}
         assert t.consistent
         assert set(t.vals.items()) == history
         latch(self, rstate, t)
@@ -236,3 +242,68 @@ def test_thread_latches_exactly_when_its_history_is_full(monkeypatch, plan):
             1.0, 0.25)
     assert seen
     assert [have for have, _ in seen] == [total for _, total in seen]
+
+
+# ---------------------------------------------------------------------------
+# One-sided liars: trimming is checkable
+
+
+# Honest inputs strictly inside [0, K], and a liar that pushes one way only:
+# an untrimmed midpoint then leaves the honest range or fails to halve.
+ONE_SIDED_INPUTS = [0.5, 0.75, 0.75, 0.5]
+ONE_SIDED_PLANS = {
+    "low-liar": make_plan("low-liar", {3: Equivocate(tuple(
+        (w, 0.0) for w in K4.out_neighbors(3)))}),
+    "tamper-up": make_plan("tamper-up", {3: TamperForward(0.3)}),
+}
+ONE_SIDED_CASES = [(plan, di) for plan in sorted(ONE_SIDED_PLANS)
+                   for di in range(5)]
+
+
+def guarantee_failures(m) -> list:
+    """The invariant scan's violations, plus an honest output outside the
+    honest inputs' range (validity) and a round whose spread is more than
+    half the last one's (halving)."""
+    failures = list(assert_round_invariants(m).violations)
+    xs = [m.inputs[v] for v in m.honest]
+    failures += [f"node {v} output {x} outside [{min(xs)}, {max(xs)}]"
+                 for v, x in m.outputs.items()
+                 if x is None or not min(xs) <= x <= max(xs)]
+    for r in range(m.r_out):
+        s0, s1 = m.spread(r), m.spread(r + 1)
+        if s0 is None or s1 is None or s1 > s0 / 2.0:
+            failures.append(f"round {r + 1}: spread {s1} after {s0}")
+    return failures
+
+
+def run_one_sided(plan, di):
+    return run(K4, ONE_SIDED_INPUTS, 1, ONE_SIDED_PLANS[plan],
+               delay_policy(di, 4), 1.0, 0.25)
+
+
+@pytest.mark.parametrize("plan,di", ONE_SIDED_CASES)
+def test_one_sided_liars_keep_the_guarantees(plan, di):
+    assert guarantee_failures(run_one_sided(plan, di)) == []
+
+
+@pytest.mark.parametrize("plan,di", ONE_SIDED_CASES)
+def test_untrimmed_midpoint_is_caught_by_one_sided_liars(monkeypatch, plan,
+                                                          di):
+    # The mutant adopts the midpoint of its whole round history's value
+    # range and keeps the FARecord as computed, so only the guarantees on
+    # the adopted values can tell that trimming is gone.
+    def untrimmed_advance(self, rstate, t):
+        _, record = self._filter_and_average(rstate, t)
+        vals = [x for x, _ in rstate.recs] + [x for x, _ in rstate.extras]
+        xn = (min(vals) + max(vals)) / 2.0
+        rstate.nextround = True
+        rstate.fa_record = record
+        self.x.append(xn)
+        if rstate.r + 1 >= self.world.r_out:
+            self.output = xn
+            self.world.note_done(self.me)
+        else:
+            self.start_round(rstate.r + 1)
+
+    monkeypatch.setattr(Node, "_advance", untrimmed_advance)
+    assert guarantee_failures(run_one_sided(plan, di))
