@@ -98,9 +98,9 @@ def load_graph(ref: str) -> DiGraph:
                 f"have {sorted(BUILTIN_GRAPHS)}")
         return maker()
     try:
-        with open(ref) as fh:
+        with open(ref, encoding="utf-8") as fh:
             return parse_edge_list(fh.read())
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise InvalidArgumentError(f"cannot read graph {ref!r}: {e}") from e
 
 
@@ -332,9 +332,9 @@ def _load_config(args) -> ScenarioConfig:
     if args.scenario in BUILTIN_SCENARIOS:
         return dataclasses.replace(BUILTIN_SCENARIOS[args.scenario])
     try:
-        with open(args.scenario) as fh:
+        with open(args.scenario, encoding="utf-8") as fh:
             return ScenarioConfig.from_json(fh.read())
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise InvalidArgumentError(
             f"no builtin scenario or readable config {args.scenario!r}: {e}"
         ) from e

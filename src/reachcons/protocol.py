@@ -204,6 +204,9 @@ class Node:
         # sender is its key's last hop, so none is kept.
         self.future = {}
         self.rounds = {}
+        # A faulty node floods through its plan (see simnet).
+        self._flood = (world.send if me in world._faulty
+                       else world.send_flood)
         g = self.g
         self.out_list = g.out_neighbors(me)
         self._templates = []
@@ -338,7 +341,7 @@ class Node:
             if dests is None:
                 dests = self._fwd2[m2] = [w for w in self.out_list
                                           if not m2 >> w & 1]
-        self.world.send_flood(me, dests, (VAL_T, r, x, q, phase, m1, m2))
+        self._flood(me, dests, (VAL_T, r, x, q, phase, m1, m2))
         bucket = rstate.by_init_value.get((init, x))
         if bucket is None or qmask not in bucket:
             self._mark_value(rstate, init, x, qmask)
@@ -412,7 +415,7 @@ class Node:
         if dests is None:
             dests = self._fwd2[qmask] = [w for w in self.out_list
                                          if not qmask >> w & 1]
-        self.world.send_flood(me, dests, (COMP_T, r, body, q, 1, qmask, 0))
+        self._flood(me, dests, (COMP_T, r, body, q, 1, qmask, 0))
         g = self.g
         for t in rstate.threads:
             if qmask & ~t.reach_mask:
@@ -534,14 +537,17 @@ class Node:
                 groups[v] = [p]
             else:
                 gr.append(p)
-        masks: dict = {}  # value -> node masks of its paths
-        for v, m in rstate.recs:
-            masks.setdefault(v, set()).add(m)
         for v, p in rstate.extras:
             groups.setdefault(v, []).append(p)
-            masks.setdefault(v, set()).add(pf[p][1])
         if not groups:
             raise ProtocolIntegrityError("empty message history at advance")
+        # by_init_value holds the node mask of every history path under its
+        # (initiator, value) pair.
+        masks: dict = {}  # value -> node masks of its paths
+        init_values: dict = {}  # initiator -> its values
+        for (init, v), ms in rstate.by_init_value.items():
+            masks.setdefault(v, set()).update(ms)
+            init_values.setdefault(init, set()).add(v)
         vals = sorted(groups)
         group_masks = [frozenset(masks[v]) for v in vals]
         cands = self._fa_cands
@@ -570,39 +576,30 @@ class Node:
         hi_items = lo_items if glo == ghi else aligned(groups[hi_val])
         p_rel = self._prefix_cut(lo_items, alive_lo)
         s_rel = self._suffix_cut(hi_items, alive_hi)
-        if glo == ghi and p_rel + s_rel >= len(lo_items):
-            raise ProtocolIntegrityError(
-                "filter-and-average trims overlap")
-        init_values = {}
-        for (init, val) in rstate.by_init_value:
-            init_values.setdefault(init, set()).add(val)
-        # The initiator of an aligned key is its top digit.
-        survivors = set()
+        # The paths each boundary bucket keeps, as (value, aligned paths):
+        # one slice when both boundaries are the same bucket.
         if glo == ghi:
-            for a, _ in lo_items[p_rel:len(lo_items) - s_rel]:
-                survivors.add((lo_val, (a >> top) - 1))
+            kept = [(lo_val, lo_items[p_rel:len(lo_items) - s_rel])]
         else:
-            for a, _ in lo_items[p_rel:]:
-                survivors.add((lo_val, (a >> top) - 1))
-            for a, _ in hi_items[:len(hi_items) - s_rel]:
-                survivors.add((hi_val, (a >> top) - 1))
-            # Every path of an inner bucket survives, and by_init_value
-            # holds one (initiator, value) entry per pair in the history.
-            inner = set(vals[glo + 1:ghi])
-            for init, val in rstate.by_init_value:
-                if val in inner:
-                    survivors.add((val, init))
-        total = sum(len(gr) for gr in groups.values())
-        lo_trim = sum(len(groups[vals[gi]]) for gi in range(glo)) + p_rel
-        hi_trim = sum(len(groups[vals[gi]])
-                      for gi in range(ghi + 1, len(vals))) + s_rel
-        record = FARecord(
-            fv=t.fvset, total=total,
-            lo_trim=lo_trim, hi_trim=hi_trim,
+            kept = [(lo_val, lo_items[p_rel:]),
+                    (hi_val, hi_items[:len(hi_items) - s_rel])]
+        if not kept[0][1]:
+            raise ProtocolIntegrityError("filter-and-average trims overlap")
+        # The initiator of an aligned key is its top digit.  Every path of
+        # an inner bucket survives.
+        inner = set(vals[glo + 1:ghi])
+        survivors = {(v, (a >> top) - 1) for v, items in kept
+                     for a, _ in items}
+        survivors.update((v, init) for init, v in rstate.by_init_value
+                         if v in inner)
+        sizes = [len(groups[v]) for v in vals]
+        return (lo_val + hi_val) / 2.0, FARecord(
+            fv=t.fvset, total=sum(sizes),
+            lo_trim=sum(sizes[:glo]) + p_rel,
+            hi_trim=sum(sizes[ghi + 1:]) + s_rel,
             lo_value=lo_val, hi_value=hi_val,
             survivors=frozenset(survivors),
             init_values={q: frozenset(vs) for q, vs in init_values.items()})
-        return (lo_val + hi_val) / 2.0, record
 
     @staticmethod
     def _trim_scan(group_masks, cands, order):
@@ -631,19 +628,10 @@ class Node:
                 best = miss
         return best
 
-    @staticmethod
-    def _suffix_cut(items, alive):
-        last = {}
-        for i, (_, m) in enumerate(items):
-            last[m] = i
-        size = len(items)
-        best = 0
-        for c in alive:
-            miss = max(idx for m, idx in last.items() if not m & c)
-            cut = size - 1 - miss
-            if cut > best:
-                best = cut
-        return best
+    @classmethod
+    def _suffix_cut(cls, items, alive):
+        """The suffix trim: the prefix trim of the reversed group."""
+        return cls._prefix_cut(items[::-1], alive)
 
 
 # ---------------------------------------------------------------------------

@@ -9,12 +9,16 @@ own counters.  A wire's sender is its key's last hop, which
 `PlanRuntime.intercept` enforces on every faulty emission, so an event
 holds no sender: its trace line reads it from the key.
 
+`SimWorld.send_flood` is the one loop that draws delays and fills buckets.
+An honest node floods through it; a faulty node through `SimWorld.send`,
+which drops a mute sender's sends (`FaultPlan.mute`), passes the rest
+through the plan and queues each emission through `send_flood`.
+
 Faulty nodes whose behaviour can never emit (`FaultPlan.inert`) are not
 simulated: deliveries to them are counted and traced, then discarded.  Such
 a send still draws its delay, so the random stream and the delivery count
 stay exact, but it joins its bucket as None, followed in a traced run by
-only the fields its trace line needs.  Sends that a faulty node's behaviour
-always drops (`FaultPlan.mute`) are dropped before interception.
+only the fields its trace line needs.
 
 A traced run hands each delivery's JSONL line to the trace callable as the
 delivery happens, so no record outlives its delivery.  A line is formatted
@@ -45,51 +49,59 @@ from .protocol import VAL_T, Node, path_init
 
 
 class UniformDelay:
-    """Independent uniform integer delay on every send."""
+    """Independent uniform integer delay on every send.  The other two
+    policies subclass it: its checks, and its draw (repeated inline, so one
+    draw is one delay call) plus one step."""
 
     def __init__(self, seed: int, lo: int = 1, hi: int = 4):
-        if lo < 1 or hi < lo:
-            raise InvalidArgumentError("delays must be positive, lo <= hi")
+        self._require("lo", lo, 1)
+        self._require("hi", hi, lo)
         self.seed, self.lo, self.hi = seed, lo, hi
         self._random = random.Random(seed).random
         self._span = hi - lo + 1
+
+    @staticmethod
+    def _require(name: str, value, least: int):
+        # Not a bool, nor a float that would leave the integer clock.
+        if (isinstance(value, bool) or not isinstance(value, int)
+                or value < least):
+            raise InvalidArgumentError(
+                f"delay {name} must be an integer >= {least}, "
+                f"got {value!r}")
 
     def delay(self, sender: int, dest: int) -> int:
         return self.lo + int(self._random() * self._span)
 
 
-class TargetedSlowDelay:
+class TargetedSlowDelay(UniformDelay):
     """Uniform base delay, multiplied on a chosen set of victim edges."""
 
     def __init__(self, seed: int, victims: frozenset, factor: int = 5,
                  lo: int = 1, hi: int = 4):
-        if lo < 1 or hi < lo or factor < 1:
-            raise InvalidArgumentError("delays must stay positive")
-        self.seed, self.victims, self.factor = seed, frozenset(victims), factor
-        self.lo, self.hi = lo, hi
-        self._rng = random.Random(seed)
+        self._require("factor", factor, 1)
+        super().__init__(seed, lo, hi)
+        self.victims, self.factor = frozenset(victims), factor
 
     def delay(self, sender: int, dest: int) -> int:
-        base = self.lo + int(self._rng.random() * (self.hi - self.lo + 1))
+        base = self.lo + int(self._random() * self._span)
         if (sender, dest) in self.victims:
             return base * self.factor
         return base
 
 
-class RoundSkewDelay:
+class RoundSkewDelay(UniformDelay):
     """Uniform base delay plus a fixed per-sender offset."""
 
     def __init__(self, seed: int, offsets: Dict[int, int],
                  lo: int = 1, hi: int = 2):
-        if lo < 1 or hi < lo or any(o < 0 for o in offsets.values()):
-            raise InvalidArgumentError("delays must stay positive")
-        self.seed, self.offsets = seed, dict(offsets)
-        self.lo, self.hi = lo, hi
-        self._rng = random.Random(seed)
+        for v, o in offsets.items():
+            self._require(f"offset of node {v}", o, 0)
+        super().__init__(seed, lo, hi)
+        self.offsets = dict(offsets)
 
     def delay(self, sender: int, dest: int) -> int:
-        base = self.lo + int(self._rng.random() * (self.hi - self.lo + 1))
-        return base + self.offsets.get(sender, 0)
+        return (self.lo + int(self._random() * self._span)
+                + self.offsets.get(sender, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +160,7 @@ class SimWorld:
         # deliver time -> [(dest, wire, sent_at)] in send order, and a heap
         # of the distinct deliver times.  A send to an inert node is queued
         # as None; a traced run follows it with what its trace line needs
-        # (_queue_traced_inert).
+        # (see send_flood).
         self.buckets: dict = {}
         self.times: list = []
         self.inert = plan.inert
@@ -178,39 +190,25 @@ class SimWorld:
         if v not in self._faulty:
             self.pending_honest -= 1
 
-    def send(self, sender: int, dest: int, wire: tuple):
-        """The faulty path of send_flood: queue what the plan makes of one
-        send from a faulty sender."""
-        # Appending to the bucket of the delivery time keeps send order
-        # within a time; the heap holds each distinct time once.
-        now = self.time
-        inert = dest in self.inert
-        traced = self.trace is not None
-        for m in self.plan_rt.intercept(sender, dest, wire,
-                                        self.nodes[sender]):
-            t = now + self._delay(sender, dest)
-            bucket = self.buckets.get(t)
-            if bucket is None:
-                bucket = self.buckets[t] = []
-                heapq.heappush(self.times, t)
-            if not inert:
-                bucket.append((dest, m, now))
-            elif traced:
-                self._queue_traced_inert(bucket, dest, m, now)
-            else:
-                bucket.append(None)
+    def send(self, sender: int, dests, wire: tuple):
+        """A faulty sender's flood: drop it if the sender is mute, else
+        queue, through send_flood, what the plan makes of each send."""
+        # A mute sender emits its own initial VALUEs (one-node keys are at
+        # most n) and nothing else.  Dropped sends draw no delay.
+        if sender in self._mute and not (
+                wire[0] == VAL_T and wire[3] <= self.g.n):
+            return
+        node = self.nodes[sender]
+        for dest in dests:
+            for m in self.plan_rt.intercept(sender, dest, wire, node):
+                self.send_flood(sender, (dest,), m)
 
     def send_flood(self, sender: int, dests, wire: tuple):
-        """Send one wire message to several destinations."""
-        if sender in self._faulty:
-            # A mute sender emits its own initial VALUEs (one-node keys are
-            # at most n) and nothing else.  Dropped sends draw no delay.
-            if sender in self._mute and not (
-                    wire[0] == VAL_T and wire[3] <= self.g.n):
-                return
-            for dest in dests:
-                self.send(sender, dest, wire)
-            return
+        """Queue one wire to each destination.  This is the only loop that
+        draws delays and fills buckets: an honest node floods through it,
+        and `send` queues each faulty emission through it."""
+        # Appending to the bucket of the delivery time keeps send order
+        # within a time; the heap holds each distinct time once.
         now = self.time
         buckets = self.buckets
         delay = self._delay
@@ -225,7 +223,10 @@ class SimWorld:
             if dest not in inert:
                 bucket.append((dest, wire, now))
             elif traced:
-                self._queue_traced_inert(bucket, dest, wire, now)
+                # None, dest and send time, then the wire's first four
+                # fields flat: no tuple per send, and no wire kept alive
+                # after its handled deliveries.  A trace line needs no more.
+                bucket += (None, dest, now) + wire[:4]
             else:
                 bucket.append(None)
 
@@ -253,7 +254,10 @@ class SimWorld:
                     raise self._budget_error(budget)
                 if event is None:
                     if trace is not None:
-                        trace(self._traced_inert_line(events, t))
+                        # A traced send to an inert node: the fields that
+                        # send_flood queued after its None.
+                        dest, sent_at, *m = islice(events, 6)
+                        trace(self._trace_record(dest, m, sent_at, t))
                     continue
                 dest, m, sent_at = event
                 if trace is not None:
@@ -274,20 +278,6 @@ class SimWorld:
             f"delivery budget of {budget} exceeded after {budget} "
             f"deliveries ({progress}); the flood on this graph is too large "
             f"for explicit simulation")
-
-    @staticmethod
-    def _queue_traced_inert(bucket: list, dest, wire, now):
-        # None, dest and send time, then the wire's first four fields flat:
-        # no tuple per send, and no wire kept alive after its handled
-        # deliveries.  A line needs no more, and the sender is the key's
-        # last hop.
-        bucket += (None, dest, now) + wire[:4]
-
-    def _traced_inert_line(self, events, t) -> str:
-        """The trace line of a delivery that _queue_traced_inert queued,
-        read from the bucket iterator just past its None."""
-        dest, sent_at, *m = islice(events, 6)
-        return self._trace_record(dest, m, sent_at, t)
 
     def _trace_record(self, dest, m, sent_at, t) -> str:
         """The delivery's JSONL line, byte for byte what
@@ -358,10 +348,7 @@ def _is_real(x) -> bool:
 
 
 def thread_count(n: int, f: int) -> int:
-    total = 0
-    for size in range(0, f + 1):
-        total += math.comb(n - 1, size)
-    return total
+    return sum(math.comb(n - 1, size) for size in range(f + 1))
 
 
 def rounds_to_output(K: float, eps: float) -> int:
@@ -472,7 +459,6 @@ def assert_round_invariants(metrics: RunMetrics,
     advancement, range halving, validity, trimmed-vector overlap, and
     cross-node agreement on latched and advanced values."""
     rep = InvariantReport()
-    g, f = metrics.g, metrics.f
     honest = metrics.honest
     r_out = metrics.r_out
 

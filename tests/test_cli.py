@@ -53,6 +53,31 @@ def test_check_unknown_graph():
                  "--condition", "ccs"]) == 2
 
 
+@pytest.mark.parametrize("bad", ["check-graph", "run-config", "run-graph"])
+def test_input_file_that_is_not_utf8_is_an_input_error(tmp_path, capsys,
+                                                       bad):
+    # A \xff byte is no UTF-8 text: exit 2 naming the file, not the exit 1
+    # of a decoding traceback.
+    gpath = tmp_path / "g.txt"
+    cpath = tmp_path / "scenario.json"
+    gpath.write_bytes(b"n 3\n0 1\n\xff\n")
+    if bad == "check-graph":
+        argv, named = ["check", "--graph", str(gpath), "--f", "1",
+                       "--condition", "3reach"], gpath
+    elif bad == "run-config":
+        cpath.write_bytes(b'{"graph": "builtin:k4", "f": 1, "inputs": '
+                          b'[0, 1, 1, 0], "plan": {"name": "\xff"}}')
+        argv, named = ["run", str(cpath)], cpath
+    else:
+        cpath.write_text(ScenarioConfig(graph=str(gpath), f=1,
+                                        inputs=[0.0, 1.0, 0.5]).to_json())
+        argv, named = ["run", str(cpath), "--force"], gpath
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert str(named) in err
+
+
 # ---------------------------------------------------------------------------
 # run
 

@@ -16,7 +16,7 @@ from reachcons import (DiGraph, Equivocate, ProtocolIntegrityError,
                        builtin_plans, enumerate_redundant_paths, make_plan,
                        message_set, run)
 from reachcons.adversary import Crash
-from reachcons.graph import mask_of
+from reachcons.graph import has_f_cover, mask_of, set_of
 from reachcons.protocol import (Node, PayloadView, candidate_sets,
                                 completeness, filter_and_average, path_init,
                                 path_key, path_last, path_of, path_order)
@@ -307,3 +307,129 @@ def test_untrimmed_midpoint_is_caught_by_one_sided_liars(monkeypatch, plan,
 
     monkeypatch.setattr(Node, "_advance", untrimmed_advance)
     assert guarantee_failures(run_one_sided(plan, di))
+
+
+# ---------------------------------------------------------------------------
+# Differential oracle: the engine against the reference functions
+
+
+def history_of(node, rstate) -> list:
+    """A round's VALUE history as sorted (value, path) pairs: each key p of
+    path_first and of extras extended by the node to its path q."""
+    n, me = node.g.n, node.me
+    bits = n.bit_length()
+
+    def path(p):
+        return path_of(p << bits | (me + 1), n)
+
+    return sorted([(x, path(p)) for p, (x, _) in rstate.path_first.items()]
+                  + [(x, path(p)) for x, p in rstate.extras])
+
+
+def longest_covered(paths, universe, f) -> int:
+    """The longest prefix of paths that has_f_cover can cover.  A shorter
+    prefix of a covered one is covered, so a binary search finds it."""
+    lo, hi = 0, len(paths)
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if has_f_cover(paths[:mid], universe, f) is not None:
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
+
+
+def install_oracle(monkeypatch) -> dict:
+    """Wrap Node._advance and Node._completeness (whatever they are when
+    called) so that each advance and each completeness verdict is checked
+    against the reference over the node's history at that moment.  Returns
+    the tallies, with every mismatch under "mismatches"."""
+    advance, complete = Node._advance, Node._completeness
+    tally = {"advances": 0, "verdicts": 0, "false": 0, "mismatches": []}
+    sets = {}  # (rstate, history size) -> its MessageSet
+
+    def message_set_of(node, rstate):
+        key = (rstate, len(rstate.path_first), len(rstate.extras))
+        if key not in sets:
+            sets[key] = message_set(history_of(node, rstate))
+        return sets[key]
+
+    def checked_advance(self, rstate, t):
+        history = history_of(self, rstate)
+        paths = [p for _, p in history]
+        universe = frozenset(range(self.g.n)) - {self.me}
+        f = self.world.f
+        want = (len(history), longest_covered(paths, universe, f),
+                longest_covered(paths[::-1], universe, f))
+        x = filter_and_average(message_set_of(self, rstate), f, self.me,
+                               self.g)
+        advance(self, rstate, t)
+        rec = rstate.fa_record
+        got = (rec.total, rec.lo_trim, rec.hi_trim)
+        tally["advances"] += 1
+        if got != want or self.x[rstate.r + 1] != x:
+            tally["mismatches"].append(
+                ("advance", self.me, rstate.r, got, want,
+                 self.x[rstate.r + 1], x))
+
+    def checked_completeness(self, rstate, payload):
+        got = complete(self, rstate, payload)
+        M_c = message_set((x, (q,)) for q, x in payload.values)
+        want = completeness(message_set_of(self, rstate), M_c,
+                            set_of(payload.claimed_mask), self.g,
+                            self.world.f, self.me)
+        tally["verdicts"] += 1
+        tally["false"] += not want
+        if got != want:
+            tally["mismatches"].append(
+                ("completeness", self.me, rstate.r, got, want))
+        return got
+
+    monkeypatch.setattr(Node, "_advance", checked_advance)
+    monkeypatch.setattr(Node, "_completeness", checked_completeness)
+    return tally
+
+
+# The 25 K4 golden runs and the 10 one-sided-liar runs.
+ORACLE_CASES = ([("golden", plan, di) for plan in sorted(builtin_plans(K4, 1))
+                 for di in range(5)]
+                + [("one-sided", plan, di) for plan, di in ONE_SIDED_CASES])
+
+
+def run_oracle_case(kind, plan, di):
+    if kind == "golden":
+        return run(K4, [0.0, 1.0, 1.0, 0.0], 1, builtin_plans(K4, 1)[plan],
+                   delay_policy(di, 4), 1.0, 0.25)
+    return run_one_sided(plan, di)
+
+
+@pytest.mark.parametrize("kind,plan,di", ORACLE_CASES)
+def test_engine_matches_the_reference_at_every_advance(monkeypatch, kind,
+                                                       plan, di):
+    tally = install_oracle(monkeypatch)
+    m = run_oracle_case(kind, plan, di)
+    assert tally["mismatches"] == []
+    assert tally["advances"] >= len(m.honest) * m.r_out
+    assert tally["verdicts"]
+
+
+# Mutants of the code the oracle guards.  The within-bucket cuts set only
+# the record's trims and survivors, never the adopted value, and on these
+# runs a forced completeness verdict breaks no guarantee, so only the
+# oracle can catch them.  _suffix_cut is the prefix cut of the reversed
+# bucket, so the first mutant zeroes both trims.
+MUTANTS = {
+    "prefix-cut-0": ("_prefix_cut", staticmethod(lambda items, alive: 0)),
+    "suffix-cut-0": ("_suffix_cut", staticmethod(lambda items, alive: 0)),
+    "completeness-true": ("_completeness",
+                          lambda self, rstate, payload: True),
+}
+
+
+@pytest.mark.parametrize("mutant", sorted(MUTANTS))
+def test_oracle_catches_each_mutant(monkeypatch, mutant):
+    monkeypatch.setattr(Node, *MUTANTS[mutant])
+    tally = install_oracle(monkeypatch)
+    for case in ORACLE_CASES:
+        run_oracle_case(*case)
+    assert tally["mismatches"]

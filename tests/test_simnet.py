@@ -68,6 +68,18 @@ def test_delay_validation():
         TargetedSlowDelay(seed=0, victims=frozenset(), factor=0)
     with pytest.raises(InvalidArgumentError):
         RoundSkewDelay(seed=0, offsets={1: -1})
+    # The clock is an integer: every parameter must be an int, not a bool.
+    # Unchecked, NaN and inf failed mid-run, a NaN factor or offset gave
+    # NaN delivery times, and fractions gave a clock that is no integer.
+    for make in (lambda: UniformDelay(0, 1, math.nan),
+                 lambda: UniformDelay(0, 1, math.inf),
+                 lambda: TargetedSlowDelay(0, {(0, 1)}, factor=math.nan),
+                 lambda: RoundSkewDelay(0, {1: math.nan}),
+                 lambda: UniformDelay(0, 1.5, 2.5),
+                 lambda: TargetedSlowDelay(0, {(0, 1)}, factor=2.5),
+                 lambda: UniformDelay(0, lo=True)):
+        with pytest.raises(InvalidArgumentError):
+            make()
 
 
 # ---------------------------------------------------------------------------
