@@ -68,8 +68,8 @@ class ForgeComplete:
     on small graphs); when false it forwards nothing.
     """
 
-    claimed: frozenset
     omit: int
+    claimed: frozenset = frozenset()
     forged_value: float = 0.5
     forward: bool = False
 
@@ -116,12 +116,20 @@ def make_plan(name: str, behaviors: Dict[int, object]) -> FaultPlan:
 
 
 class PlanRuntime:
-    """Per-run mutable adversary state (send counters, forged payloads)."""
+    """Per-run mutable adversary state (send counters, forged payloads).
+    Built per run, it checks each behaviour's fields against the graph."""
 
     def __init__(self, plan: FaultPlan, g: DiGraph):
         for v, b in plan.behaviors:
             named, values = [v], []
+            if isinstance(b, Crash) and type(b.after) is not int:
+                raise InvalidArgumentError(
+                    f"crash of node {v} after {b.after!r} sends: need an int")
             if isinstance(b, ForgeComplete):
+                if type(b.forward) is not bool:
+                    raise InvalidArgumentError(
+                        f"forge of node {v} with forward={b.forward!r}: "
+                        f"need a bool")
                 named += [b.omit, *b.claimed]
                 values.append(b.forged_value)
             elif isinstance(b, Equivocate):
@@ -131,8 +139,7 @@ class PlanRuntime:
                 values.append(b.value_delta)
             for w in named:
                 # 0.0 and True compare equal to node ids, but are not ones.
-                if (isinstance(w, bool) or not isinstance(w, int)
-                        or w not in g.nodes):
+                if type(w) is not int or w not in g.nodes:
                     raise InvalidArgumentError(
                         f"plan for node {v!r} names node {w!r}, not one of "
                         f"the graph's {g.n} nodes")

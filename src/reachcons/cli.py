@@ -56,19 +56,15 @@ class ScenarioConfig:
             raise InvalidArgumentError(f"bad scenario config: {e}") from e
         if not isinstance(raw, dict):
             raise InvalidArgumentError("scenario config must be a JSON object")
-        unknown = set(raw) - set(_CONFIG_TYPES)
-        if unknown:
-            raise InvalidArgumentError(
-                f"unknown config keys: {sorted(unknown)}")
-        missing = {"graph", "f", "inputs"} - set(raw)
-        if missing:
-            raise InvalidArgumentError(
-                f"config is missing keys: {sorted(missing)}")
+        try:
+            config = cls(**raw)  # refuses a key it lacks or misses
+        except TypeError as e:
+            raise InvalidArgumentError(f"bad scenario config: {e}") from e
         for key, value in raw.items():
             if type(value) not in _CONFIG_TYPES[key]:
                 raise InvalidArgumentError(
                     f"config key {key!r} cannot be {value!r}")
-        return cls(**raw)
+        return config
 
 
 BUILTIN_GRAPHS = {
@@ -116,35 +112,6 @@ def _spec_errors(what: str):
         raise InvalidArgumentError(f"bad {what} spec: {e!r}") from e
 
 
-# The keys each kind of behavior or delay spec may hold besides "kind".
-_BEHAVIOR_KEYS = {
-    "crash": {"after"}, "silent": set(), "equivocate": {"values"},
-    "tamper": {"value_delta"},
-    "forge": {"claimed", "omit", "forged_value", "forward"},
-}
-_DELAY_KEYS = {
-    "uniform": {"lo", "hi"},
-    "targeted-slow": {"lo", "hi", "victims", "factor"},
-    "round-skew": {"lo", "hi", "offsets"},
-}
-
-
-def _only_keys(spec: dict, allowed: set, what: str):
-    unknown = set(spec) - allowed
-    if unknown:
-        raise InvalidArgumentError(
-            f"{what} has unknown keys {sorted(unknown, key=repr)}")
-
-
-def _typed(value, kind: type, what: str):
-    """value if its type is kind: no float, string or bool is an int here,
-    and no string is a bool."""
-    if type(value) is not kind:
-        raise InvalidArgumentError(
-            f"{what} must be a JSON {kind.__name__}, got {value!r}")
-    return value
-
-
 def _node_id(key: str, what: str) -> int:
     """The node a spec's object key names.  A key must be a canonical
     decimal string, so "+3", "03", " 1" and "1_0" name no node."""
@@ -163,11 +130,51 @@ def _real(value, what: str) -> float:
     return float(value)
 
 
+# The class of each kind of behaviour and delay spec.  A spec's keys other
+# than "kind" are its class's keyword arguments, so the class (or the run,
+# for what needs the graph) refuses an unknown, missing or mistyped key and
+# gives every default.
+_BEHAVIORS = {"crash": adversary.Crash, "silent": adversary.Silent,
+              "equivocate": adversary.Equivocate,
+              "tamper": adversary.TamperForward,
+              "forge": adversary.ForgeComplete}
+_DELAYS = {"uniform": simnet.UniformDelay,
+           "targeted-slow": simnet.TargetedSlowDelay,
+           "round-skew": simnet.RoundSkewDelay}
+
+# The spec fields whose JSON shape is not their constructor's, and the
+# conversion of each.  Values are made floats, so that a value's trace text
+# is the same whether a spec writes 1 or 1.0.
+_FROM_JSON = {
+    "values": lambda vs: tuple(sorted(
+        (_node_id(w, "values"), _real(x, "values")) for w, x in vs.items())),
+    "claimed": frozenset,
+    "value_delta": lambda x: _real(x, "value_delta"),
+    "forged_value": lambda x: _real(x, "forged_value"),
+    "victims": lambda edges: [tuple(edge) for edge in edges],
+    "offsets": lambda m: {_node_id(v, "offsets"): o for v, o in m.items()},
+}
+
+
+def _build(kinds: dict, what: str, spec: dict, default, *args):
+    """The class of the spec's kind, called with args and its other keys."""
+    kind = spec.get("kind", default)
+    if kind not in kinds:
+        raise InvalidArgumentError(f"unknown {what} kind {kind!r}")
+    kw = {k: _FROM_JSON[k](x) if k in _FROM_JSON else x
+          for k, x in spec.items() if k != "kind"}
+    return kinds[kind](*args, **kw)
+
+
 def build_plan(spec: dict, g: DiGraph, f: int, K: float) -> adversary.FaultPlan:
     """A plan spec is either {"name": builtin} or an explicit behavior map:
-    {"name": ..., "behaviors": {"3": {"kind": "crash", "after": 0}, ...}}."""
+    {"name": ..., "behaviors": {"3": {"kind": "crash", "after": 0}, ...}},
+    where each behavior's keys besides "kind" are its class's arguments."""
     with _spec_errors("plan"):
-        _only_keys(spec, {"name", "behaviors"}, "plan spec")
+        unknown = set(spec) - {"name", "behaviors"}
+        if unknown:
+            raise InvalidArgumentError(
+                f"plan spec has unknown keys {sorted(unknown, key=repr)}")
         if "behaviors" not in spec:
             name = spec.get("name", "crash-min")
             plans = adversary.builtin_plans(g, f, K)
@@ -175,58 +182,15 @@ def build_plan(spec: dict, g: DiGraph, f: int, K: float) -> adversary.FaultPlan:
                 raise InvalidArgumentError(
                     f"unknown builtin plan {name!r}; have {sorted(plans)}")
             return plans[name]
-        behaviors = {}
-        for node_s, b in spec["behaviors"].items():
-            node = _node_id(node_s, "behaviors")
-            kind = b.get("kind")
-            if kind not in _BEHAVIOR_KEYS:
-                raise InvalidArgumentError(f"unknown behavior kind {kind!r}")
-            _only_keys(b, _BEHAVIOR_KEYS[kind] | {"kind"}, f"{kind} behavior")
-            if kind == "crash":
-                behaviors[node] = adversary.Crash(
-                    _typed(b.get("after", 0), int, "after"))
-            elif kind == "silent":
-                behaviors[node] = adversary.Silent()
-            elif kind == "equivocate":
-                vals = tuple(sorted(
-                    (_node_id(w, "values"), _real(x, "values"))
-                    for w, x in b["values"].items()))
-                behaviors[node] = adversary.Equivocate(vals)
-            elif kind == "tamper":
-                behaviors[node] = adversary.TamperForward(
-                    _real(b.get("value_delta", 0.0), "value_delta"))
-            else:
-                behaviors[node] = adversary.ForgeComplete(
-                    claimed=frozenset(_typed(w, int, "claimed")
-                                      for w in b.get("claimed", [])),
-                    omit=_typed(b["omit"], int, "omit"),
-                    forged_value=_real(b.get("forged_value", 0.5),
-                                       "forged_value"),
-                    forward=_typed(b.get("forward", False), bool, "forward"))
+        behaviors = {_node_id(v, "behaviors"):
+                     _build(_BEHAVIORS, "behavior", b, None)
+                     for v, b in spec["behaviors"].items()}
         return adversary.make_plan(spec.get("name", "custom"), behaviors)
 
 
 def build_delay(spec: dict, seed: int):
     with _spec_errors("delay"):
-        kind = spec.get("kind", "uniform")
-        if kind not in _DELAY_KEYS:
-            raise InvalidArgumentError(f"unknown delay kind {kind!r}")
-        _only_keys(spec, _DELAY_KEYS[kind] | {"kind"}, f"{kind} delay")
-        lo = _typed(spec.get("lo", 1), int, "lo")
-        hi = _typed(spec.get("hi", 2 if kind == "round-skew" else 4), int,
-                    "hi")
-        if kind == "uniform":
-            return simnet.UniformDelay(seed, lo, hi)
-        if kind == "targeted-slow":
-            victims = frozenset(
-                (_typed(a, int, "victims"), _typed(b, int, "victims"))
-                for a, b in spec.get("victims", []))
-            return simnet.TargetedSlowDelay(
-                seed, victims, _typed(spec.get("factor", 5), int, "factor"),
-                lo, hi)
-        offsets = {_node_id(v, "offsets"): _typed(o, int, "offsets")
-                   for v, o in spec.get("offsets", {}).items()}
-        return simnet.RoundSkewDelay(seed, offsets, lo, hi)
+        return _build(_DELAYS, "delay", spec, "uniform", seed)
 
 
 def metrics_csv(metrics: simnet.RunMetrics) -> str:
@@ -267,11 +231,6 @@ def _execute(config: ScenarioConfig, seed: int, force: bool,
     g = load_graph(config.graph)
     plan = build_plan(config.plan, g, config.f, config.K)
     delay = build_delay(config.delay, seed)
-    outside = sorted(_delay_nodes(delay) - set(g.nodes))
-    if outside:
-        raise InvalidArgumentError(
-            f"delay spec names nodes {outside}, not among the graph's "
-            f"{g.n} nodes")
     # Refuse before simulating, but after the checks that the run makes
     # first, so each input keeps its exit code.
     simnet.admit(g, config.inputs, config.f, config.K, config.eps, budgets)
@@ -286,16 +245,6 @@ def _execute(config: ScenarioConfig, seed: int, force: bool,
                              trace=trace)
         (write or sys.stdout.write)(metrics_csv(metrics))
     return metrics
-
-
-def _delay_nodes(delay) -> set:
-    """The nodes a delay policy names: its victim edges' ends, or the
-    senders it offsets."""
-    if isinstance(delay, simnet.TargetedSlowDelay):
-        return {v for edge in delay.victims for v in edge}
-    if isinstance(delay, simnet.RoundSkewDelay):
-        return set(delay.offsets)
-    return set()
 
 
 @contextmanager

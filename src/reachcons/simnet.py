@@ -53,7 +53,13 @@ class UniformDelay:
     policies subclass it: its checks, and its draw (repeated inline, so one
     draw is one delay call) plus one step."""
 
+    nodes = frozenset()  # the nodes it names: a run refuses any not in g
+
     def __init__(self, seed: int, lo: int = 1, hi: int = 4):
+        # random.Random would seed None from OS entropy: no run repeats.
+        if type(seed) is not int:
+            raise InvalidArgumentError(
+                f"delay seed must be an integer, got {seed!r}")
         self._require("lo", lo, 1)
         self._require("hi", hi, lo)
         self.seed, self.lo, self.hi = seed, lo, hi
@@ -63,8 +69,7 @@ class UniformDelay:
     @staticmethod
     def _require(name: str, value, least: int):
         # Not a bool, nor a float that would leave the integer clock.
-        if (isinstance(value, bool) or not isinstance(value, int)
-                or value < least):
+        if type(value) is not int or value < least:
             raise InvalidArgumentError(
                 f"delay {name} must be an integer >= {least}, "
                 f"got {value!r}")
@@ -76,11 +81,18 @@ class UniformDelay:
 class TargetedSlowDelay(UniformDelay):
     """Uniform base delay, multiplied on a chosen set of victim edges."""
 
-    def __init__(self, seed: int, victims: frozenset, factor: int = 5,
-                 lo: int = 1, hi: int = 4):
+    def __init__(self, seed: int, victims: frozenset = frozenset(),
+                 factor: int = 5, lo: int = 1, hi: int = 4):
         self._require("factor", factor, 1)
         super().__init__(seed, lo, hi)
+        for edge in victims:
+            if not (type(edge) is tuple and len(edge) == 2
+                    and all(type(v) is int for v in edge)):
+                raise InvalidArgumentError(
+                    f"delay victims must be pairs of node ids, "
+                    f"got {edge!r}")
         self.victims, self.factor = frozenset(victims), factor
+        self.nodes = frozenset(v for edge in self.victims for v in edge)
 
     def delay(self, sender: int, dest: int) -> int:
         base = self.lo + int(self._random() * self._span)
@@ -92,12 +104,16 @@ class TargetedSlowDelay(UniformDelay):
 class RoundSkewDelay(UniformDelay):
     """Uniform base delay plus a fixed per-sender offset."""
 
-    def __init__(self, seed: int, offsets: Dict[int, int],
+    def __init__(self, seed: int, offsets: Optional[Dict[int, int]] = None,
                  lo: int = 1, hi: int = 2):
+        offsets = dict(offsets or {})
         for v, o in offsets.items():
+            if type(v) is not int:
+                raise InvalidArgumentError(
+                    f"delay offsets must be keyed by node ids, got {v!r}")
             self._require(f"offset of node {v}", o, 0)
         super().__init__(seed, lo, hi)
-        self.offsets = dict(offsets)
+        self.offsets, self.nodes = offsets, frozenset(offsets)
 
     def delay(self, sender: int, dest: int) -> int:
         return (self.lo + int(self._random() * self._span)
@@ -154,6 +170,10 @@ class SimWorld:
         self.f = f
         self.r_out = r_out
         self.plan_rt = PlanRuntime(plan, g)
+        outside = sorted(delay.nodes.difference(g.nodes))
+        if outside:
+            raise InvalidArgumentError(
+                f"delay policy names nodes {outside} outside range({g.n})")
         self._faulty = plan.faulty
         self._delay = delay.delay
         self.time = 0

@@ -19,6 +19,7 @@ from reachcons import (DiGraph, RoundSkewDelay, TargetedSlowDelay,
                        two_cliques)
 from reachcons.adversary import Crash
 from reachcons.cli import metrics_csv
+from test_golden import run_digest
 
 K = 1.0
 EPS = 0.25
@@ -34,11 +35,22 @@ def clique(n):
 # delay policies, on each benchmark graph, at the default budgets.
 
 
+def ramp(n):
+    return [i / (n - 1) for i in range(n)]
+
+
 GRAPHS = {
     "k4": (clique(4), 1, [0.0, 1.0, 1.0, 0.0]),
     "k7": (clique(7), 2, [i / 6.0 for i in range(7)]),
     "two-cliques-7-8": (two_cliques(7, 8, seed=11), 2, [0.0, 1.0] * 7),
+    # Directed graphs that pass 3-reach at f = 1, each the seeded draw with
+    # the fewest redundant paths per round (count_redundant_paths) found
+    # for its n: 16 edges and 1,449 paths, 19 and 4,653, 27 and 86,551.
+    "d5-698": (random_digraph(5, 0.8, 698), 1, ramp(5)),
+    "d6-790": (random_digraph(6, 0.8, 790), 1, ramp(6)),
+    "d8-1515": (random_digraph(8, 0.5, 1515), 1, ramp(8)),
 }
+DIRECTED = ("d5-698", "d6-790", "d8-1515")
 
 GRAPH_KEYS = sorted(GRAPHS)
 
@@ -256,6 +268,106 @@ def test_pairwise_trimmed_vector_overlap(graph_key):
 
 
 # ---------------------------------------------------------------------------
+# 8b. The directed graphs: the invariant scan, and a digest per run
+
+
+# test_golden.run_digest of each run, its first 16 hex digits:
+# graph -> (plan, delay policy index) -> digest.
+DIRECTED_PINS = {
+    "d5-698": {
+        ("crash-max", 0): "44c294c1c7050326",
+        ("crash-max", 1): "2678f9ea65f26fb5",
+        ("crash-max", 2): "2678f9ea65f26fb5",
+        ("crash-max", 3): "2678f9ea65f26fb5",
+        ("crash-max", 4): "44c294c1c7050326",
+        ("crash-min", 0): "44c294c1c7050326",
+        ("crash-min", 1): "2678f9ea65f26fb5",
+        ("crash-min", 2): "2678f9ea65f26fb5",
+        ("crash-min", 3): "2678f9ea65f26fb5",
+        ("crash-min", 4): "44c294c1c7050326",
+        ("equivocator", 0): "c1a484e8e9e3a060",
+        ("equivocator", 1): "b852b904db6c0981",
+        ("equivocator", 2): "864517202969b1b4",
+        ("equivocator", 3): "864517202969b1b4",
+        ("equivocator", 4): "c1a484e8e9e3a060",
+        ("forger", 0): "7ea4f3491ffcc876",
+        ("forger", 1): "22cfa449bbed5573",
+        ("forger", 2): "953a636593acf67b",
+        ("forger", 3): "4aa83bd47fe7d755",
+        ("forger", 4): "39a0f964f09a446b",
+        ("split-brain", 0): "854807675e31516b",
+        ("split-brain", 1): "1bceb1172bec9edb",
+        ("split-brain", 2): "eec985466d7d9581",
+        ("split-brain", 3): "eec985466d7d9581",
+        ("split-brain", 4): "854807675e31516b",
+    },
+    "d6-790": {
+        ("crash-max", 0): "4c1087e02690db3d",
+        ("crash-max", 1): "a55e5806b43514a2",
+        ("crash-max", 2): "d6b5730344bd5af7",
+        ("crash-max", 3): "90c0fea42a6adb36",
+        ("crash-max", 4): "7bd1a3dde57f1c63",
+        ("crash-min", 0): "4c1087e02690db3d",
+        ("crash-min", 1): "a55e5806b43514a2",
+        ("crash-min", 2): "d6b5730344bd5af7",
+        ("crash-min", 3): "90c0fea42a6adb36",
+        ("crash-min", 4): "7bd1a3dde57f1c63",
+        ("equivocator", 0): "a26460516999f325",
+        ("equivocator", 1): "b6ac62e5ad32fa95",
+        ("equivocator", 2): "73276b900174315c",
+        ("equivocator", 3): "27d8a8b73461ac61",
+        ("equivocator", 4): "fdf97f183d38a63c",
+        ("forger", 0): "aa5b018eda22ad61",
+        ("forger", 1): "0bcbf9892cbc1bfc",
+        ("forger", 2): "ef5b1fab40980deb",
+        ("forger", 3): "66d4e60fe6f7d65e",
+        ("forger", 4): "9427800fc263bdbd",
+        ("split-brain", 0): "a26460516999f325",
+        ("split-brain", 1): "b6ac62e5ad32fa95",
+        ("split-brain", 2): "73276b900174315c",
+        ("split-brain", 3): "27d8a8b73461ac61",
+        ("split-brain", 4): "fdf97f183d38a63c",
+    },
+    "d8-1515": {
+        ("crash-max", 0): "f6d2170689e3747e",
+        ("crash-max", 1): "f6d2170689e3747e",
+        ("crash-max", 2): "f2b64424c2a6faab",
+        ("crash-max", 3): "f2b64424c2a6faab",
+        ("crash-max", 4): "f2b64424c2a6faab",
+        ("crash-min", 0): "f6d2170689e3747e",
+        ("crash-min", 1): "f6d2170689e3747e",
+        ("crash-min", 2): "f2b64424c2a6faab",
+        ("crash-min", 3): "f2b64424c2a6faab",
+        ("crash-min", 4): "f2b64424c2a6faab",
+        ("equivocator", 0): "261abf88c5065580",
+        ("equivocator", 1): "261abf88c5065580",
+        ("equivocator", 2): "c694e76af498f8a1",
+        ("equivocator", 3): "cf844ceaa753c427",
+        ("equivocator", 4): "cf844ceaa753c427",
+        ("forger", 0): "89446aab6ec0e9a6",
+        ("forger", 1): "508f10c28bb2d6f3",
+        ("forger", 2): "508f10c28bb2d6f3",
+        ("forger", 3): "508f10c28bb2d6f3",
+        ("forger", 4): "508f10c28bb2d6f3",
+        ("split-brain", 0): "297af02edf2d246c",
+        ("split-brain", 1): "297af02edf2d246c",
+        ("split-brain", 2): "6706dfdaeb71c0d4",
+        ("split-brain", 3): "ee393b6a995ba3b3",
+        ("split-brain", 4): "ee393b6a995ba3b3",
+    },
+}
+
+
+@pytest.mark.parametrize("graph_key", DIRECTED)
+def test_directed_runs_keep_the_invariants_and_their_digests(graph_key):
+    results, _ = suite(graph_key)
+    for (plan, di), m in results.items():
+        assert assert_round_invariants(m).ok, (plan, di)
+    assert {k: run_digest(m)[:16] for k, m in results.items()} == (
+        DIRECTED_PINS[graph_key])
+
+
+# ---------------------------------------------------------------------------
 # 9. Negative control: the checks are not vacuous
 
 
@@ -288,6 +400,7 @@ def test_negative_control_overloaded_fault_budget():
     ("k4", "forger"),
     ("k7", "crash-max"),
     ("k7", "split-brain"),
+    ("d8-1515", "equivocator"),
 ])
 def test_determinism_byte_identical_metrics(tmp_path, graph_key, plan_name):
     g, f, inputs = GRAPHS[graph_key]

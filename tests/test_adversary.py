@@ -123,6 +123,26 @@ def test_plan_node_ids_must_be_ints(behavior):
         make_rt(behavior)
 
 
+@pytest.mark.parametrize("behavior,message", [
+    (Crash(2.7), "need an int"),
+    (Crash("3"), "need an int"),
+    (Crash(True), "need an int"),
+    (ForgeComplete(omit=1, forward="false"), "need a bool"),
+    (ForgeComplete(omit=1, forward=0), "need a bool"),
+], ids=["float-after", "str-after", "bool-after", "str-forward",
+        "int-forward"])
+def test_behaviour_fields_have_their_types(behavior, message):
+    # Unchecked, Crash(2.7) would run as Crash(3), Crash("3") would fail
+    # in FaultPlan.inert, and forward="false" would forward.
+    with pytest.raises(InvalidArgumentError, match=message):
+        make_rt(behavior)
+
+
+def test_forge_defaults_to_no_claim():
+    assert ForgeComplete(1) == ForgeComplete(
+        omit=1, claimed=frozenset(), forged_value=0.5, forward=False)
+
+
 def test_intercept_rejects_paths_not_ending_at_sender():
     rt = make_rt(Crash(5))
     node = SimpleNamespace(fifo_sent=0)

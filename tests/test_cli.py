@@ -547,6 +547,23 @@ def test_run_rejects_mistyped_config_fields(tmp_path, capsys, text):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("spec,key", [
+    ('"delay": {"kind": "targeted-slow", "factr": 7}', "factr"),
+    ('"delay": {"kind": "uniform", "offsets": {"1": 3}}', "offsets"),
+    ('"plan": {"behaviors": {"3": {"kind": "crash", "afte": 1}}}', "afte"),
+    ('"plan": {"behaviors": {"3": {"kind": "silent", "after": 1}}}',
+     "after"),
+], ids=["targeted-slow", "uniform", "crash", "silent"])
+def test_unknown_spec_key_is_named_by_its_kind(tmp_path, capsys, spec, key):
+    # A spec's keys are its kind's keyword arguments, so the kind's
+    # constructor names a key it does not take.
+    cpath = tmp_path / "scenario.json"
+    cpath.write_text("{%s, %s}" % (K4_CONFIG, spec))
+    assert main(["run", str(cpath)]) == 2
+    assert (f"unexpected keyword argument '{key}'"
+            in capsys.readouterr().err)
+
+
 def test_metrics_csv_blank_cells_for_missing_rounds():
     class Stub:
         U = [1.0, None]

@@ -16,7 +16,7 @@ from reachcons import (DiGraph, Equivocate, ProtocolIntegrityError,
                        builtin_plans, enumerate_redundant_paths, make_plan,
                        message_set, run)
 from reachcons.adversary import Crash
-from reachcons.graph import has_f_cover, mask_of, set_of
+from reachcons.graph import has_f_cover, mask_of, set_of, subset_masks
 from reachcons.protocol import (Node, PayloadView, candidate_sets,
                                 completeness, filter_and_average, path_init,
                                 path_key, path_last, path_of, path_order)
@@ -201,47 +201,59 @@ def test_outputs_equal_midpoint_of_final_record():
 # Latch timing
 
 
+def install_latch_check(monkeypatch) -> dict:
+    """Wrap Node._latch so that each latch is checked against the history
+    it latches on.  Returns the tallies, with every mismatch under
+    "mismatches"."""
+    latch = Node._latch
+    tally = {"latches": 0, "mismatches": []}
+
+    def checked_latch(self, rstate, t):
+        # A thread latches on the delivery that completes its F-avoiding
+        # history: at that moment it holds exactly its redundant paths, as
+        # many as it counts, and its values are exactly those that history
+        # carries, one per initiator.  A history is keyed by the incoming
+        # key p; its path is p extended by this node.
+        n = self.g.n
+
+        def q(p):
+            return p << n.bit_length() | (self.me + 1)
+
+        keys = {q(p) for p, (_, m) in rstate.path_first.items()
+                if not m & t.fvmask}
+        want = {path_key(p.nodes, n) for p in
+                enumerate_redundant_paths(self.g, t.fvset, self.me)}
+        history = {(path_init(q(p), n), x)
+                   for p, (x, m) in rstate.path_first.items()
+                   if not m & t.fvmask}
+        history |= {(path_init(q(p), n), x) for x, p in rstate.extras
+                    if not mask_of(path_of(q(p), n)) & t.fvmask}
+        tally["latches"] += 1
+        if (keys != want or len(keys) != t.universe_total
+                or not t.consistent or set(t.vals.items()) != history):
+            tally["mismatches"].append(
+                (self.me, rstate.r, sorted(t.fvset), len(keys), len(want)))
+        latch(self, rstate, t)
+
+    monkeypatch.setattr(Node, "_latch", checked_latch)
+    return tally
+
+
 @pytest.mark.parametrize("plan",
                          sorted(builtin_plans(K4, 1)) + ["tamper", "repro-A"])
 def test_thread_latches_exactly_when_its_history_is_full(monkeypatch, plan):
-    # A thread latches on the delivery that completes its F-avoiding
-    # history: at that moment it holds exactly its redundant paths, and its
-    # values are exactly those that history carries, one per initiator.
     # Repro A's forger sends keys that are not redundant paths.
     plans = builtin_plans(K4, 1)
     plans["tamper"] = make_plan("tamper", {3: TamperForward(0.3)})
     plans["repro-A"] = REPRO_PLAN
     if plan == "repro-A":
         forge_prefixes(monkeypatch, forged_keys(K4, 3, "A"))
-    latch = Node._latch
-    seen = []
-
-    def counted_latch(self, rstate, t):
-        # A history is keyed by the incoming key p; its path is p extended
-        # by this node.
-        def q(p):
-            return p << 3 | (self.me + 1)
-
-        keys = {q(p) for p, (_, m) in rstate.path_first.items()
-                if not m & t.fvmask}
-        assert keys == {path_key(p.nodes, 4) for p in
-                        enumerate_redundant_paths(K4, t.fvset, self.me)}
-        seen.append((len(keys), t.universe_total))
-        history = {(path_init(q(p), 4), x)
-                   for p, (x, m) in rstate.path_first.items()
-                   if not m & t.fvmask}
-        history |= {(path_init(q(p), 4), x) for x, p in rstate.extras
-                    if not mask_of(path_of(q(p), 4)) & t.fvmask}
-        assert t.consistent
-        assert set(t.vals.items()) == history
-        latch(self, rstate, t)
-
-    monkeypatch.setattr(Node, "_latch", counted_latch)
+    tally = install_latch_check(monkeypatch)
     for di in range(5):
         run(K4, [0.0, 1.0, 1.0, 0.0], 1, plans[plan], delay_policy(di, 4),
             1.0, 0.25)
-    assert seen
-    assert [have for have, _ in seen] == [total for _, total in seen]
+    assert tally["latches"]
+    assert tally["mismatches"] == []
 
 
 # ---------------------------------------------------------------------------
@@ -413,23 +425,65 @@ def test_engine_matches_the_reference_at_every_advance(monkeypatch, kind,
     assert tally["verdicts"]
 
 
-# Mutants of the code the oracle guards.  The within-bucket cuts set only
+TRIM_SCAN, NODE_INIT = Node._trim_scan, Node.__init__
+
+
+def high_trim_skipped_scan(group_masks, cands, order):
+    # The descending scan stops at the top group with every candidate alive.
+    if order.step < 0:
+        return order[0], list(cands)
+    return TRIM_SCAN(group_masks, cands, order)
+
+
+def over_trim_init(self, world, me, x0):
+    # Cover candidates of up to f + 1 nodes, in (size, lex) order.
+    NODE_INIT(self, world, me, x0)
+    full = self.g.full_mask & ~(1 << me)
+    self._fa_cands = tuple(m for m in subset_masks(self.g.n, world.f + 1)
+                           if m and not m & ~full)
+
+
+def latch_early_scan(self, rstate, qmask):
+    # A thread latches with one of its paths still missing.
+    for ti in self._avoid_threads(qmask):
+        t = rstate.threads[ti]
+        t.missing -= 1
+        if t.missing == 1 and t.consistent:
+            self._latch(rstate, t)
+
+
+ZERO_CUT = staticmethod(lambda items, alive: 0)
+
+# Mutants of the code the oracle guards, each as (the check that catches
+# it, the Node attributes it replaces).  The within-bucket cuts set only
 # the record's trims and survivors, never the adopted value, and on these
 # runs a forced completeness verdict breaks no guarantee, so only the
 # oracle can catch them.  _suffix_cut is the prefix cut of the reversed
-# bucket, so the first mutant zeroes both trims.
+# bucket, so prefix-cut-0 zeroes both trims.  high-trim-skipped also
+# zeroes the suffix cut: with every candidate alive, one may cover the whole
+# top group, and the cut's min() of no uncovered path is a crash, not a
+# catch.  A thread that latches early changes no advance the oracle sees,
+# so the latch check catches it.
 MUTANTS = {
-    "prefix-cut-0": ("_prefix_cut", staticmethod(lambda items, alive: 0)),
-    "suffix-cut-0": ("_suffix_cut", staticmethod(lambda items, alive: 0)),
-    "completeness-true": ("_completeness",
-                          lambda self, rstate, payload: True),
+    "prefix-cut-0": ("oracle", {"_prefix_cut": ZERO_CUT}),
+    "suffix-cut-0": ("oracle", {"_suffix_cut": ZERO_CUT}),
+    "completeness-true": ("oracle", {
+        "_completeness": lambda self, rstate, payload: True}),
+    "high-trim-skipped": ("oracle", {
+        "_trim_scan": staticmethod(high_trim_skipped_scan),
+        "_suffix_cut": ZERO_CUT}),
+    "over-trim": ("oracle", {"__init__": over_trim_init}),
+    "latch-early": ("latch", {"_latch_scan": latch_early_scan}),
 }
 
 
 @pytest.mark.parametrize("mutant", sorted(MUTANTS))
 def test_oracle_catches_each_mutant(monkeypatch, mutant):
-    monkeypatch.setattr(Node, *MUTANTS[mutant])
-    tally = install_oracle(monkeypatch)
+    check, patches = MUTANTS[mutant]
+    for name, value in patches.items():
+        monkeypatch.setattr(Node, name, value)
+    install = install_oracle if check == "oracle" else install_latch_check
+    tally = install(monkeypatch)
     for case in ORACLE_CASES:
         run_oracle_case(*case)
     assert tally["mismatches"]

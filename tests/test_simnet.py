@@ -80,6 +80,17 @@ def test_delay_validation():
                  lambda: UniformDelay(0, lo=True)):
         with pytest.raises(InvalidArgumentError):
             make()
+    # A seed is an int: None would seed from OS entropy, so that no run
+    # repeats, and a list would fail inside random with a bare TypeError.
+    for seed in (None, [1], 2.5, "3", True):
+        with pytest.raises(InvalidArgumentError, match="seed"):
+            UniformDelay(seed)
+    # Victims are pairs of node ids, and offsets are keyed by node ids;
+    # unchecked, these would run and slow nothing.
+    with pytest.raises(InvalidArgumentError, match="victims"):
+        TargetedSlowDelay(0, {(0, 1, 2)})
+    with pytest.raises(InvalidArgumentError, match="offsets"):
+        RoundSkewDelay(0, {"1": 3})
 
 
 # ---------------------------------------------------------------------------
@@ -117,6 +128,16 @@ def test_run_input_validation():
     # A plan may name only nodes of the graph.
     with pytest.raises(InvalidArgumentError):
         run(K4, INPUTS4, 1, make_plan("ghost", {9: Crash(0)}), d, 1.0, 0.25)
+    # So may a delay policy: unchecked, node 9 would slow nothing.
+    for delay in (TargetedSlowDelay(0, {(0, 9)}), RoundSkewDelay(0, {9: 3})):
+        with pytest.raises(InvalidArgumentError, match="delay policy names"):
+            run(K4, INPUTS4, 1, plan, delay, 1.0, 0.25)
+    # A crash counts whole sends: unchecked, 2.7 would run as 3, and "3"
+    # would fail with a bare TypeError.
+    for after in (2.7, "3"):
+        with pytest.raises(InvalidArgumentError, match="need an int"):
+            run(K4, INPUTS4, 1, make_plan("c", {3: Crash(after)}), d, 1.0,
+                0.25)
 
 
 NAN, INF = float("nan"), float("inf")
