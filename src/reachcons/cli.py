@@ -130,6 +130,16 @@ def _real(value, what: str) -> float:
     return float(value)
 
 
+def _node_set(ws, what: str) -> frozenset:
+    """The nodes a spec's list names.  Each must be a JSON integer before
+    the list is frozen, or true and 1.0 would fold into node 1."""
+    for w in ws:
+        if type(w) is not int:
+            raise InvalidArgumentError(
+                f"{what} names node {w!r}, not a node id")
+    return frozenset(ws)
+
+
 # The class of each kind of behaviour and delay spec.  A spec's keys other
 # than "kind" are its class's keyword arguments, so the class (or the run,
 # for what needs the graph) refuses an unknown, missing or mistyped key and
@@ -148,7 +158,7 @@ _DELAYS = {"uniform": simnet.UniformDelay,
 _FROM_JSON = {
     "values": lambda vs: tuple(sorted(
         (_node_id(w, "values"), _real(x, "values")) for w, x in vs.items())),
-    "claimed": frozenset,
+    "claimed": lambda ws: _node_set(ws, "claimed"),
     "value_delta": lambda x: _real(x, "value_delta"),
     "forged_value": lambda x: _real(x, "forged_value"),
     "victims": lambda edges: [tuple(edge) for edge in edges],

@@ -13,10 +13,6 @@ from typing import Iterable, Optional
 
 from .errors import BudgetError, GraphFormatError, InvalidArgumentError
 
-NodeId = int
-NodeSet = frozenset  # of NodeId
-SimplePath = tuple  # of NodeId
-
 # Redundant-path enumeration is exponential; refuse graphs above this size.
 DEFAULT_ENUM_CAP = 12
 
@@ -130,31 +126,35 @@ def format_edge_list(g: DiGraph) -> str:
 # Reach sets
 
 
+def _closures(adj, blocked: int) -> tuple:
+    """For each node, the mask of nodes it reaches through adj (a mask of
+    neighbours per node) without entering blocked, or 0 for a node in
+    blocked: one BFS per node, a level at a time."""
+    out = []
+    for v in range(len(adj)):
+        if blocked >> v & 1:
+            out.append(0)
+            continue
+        cur = frontier = 1 << v
+        while frontier:
+            nxt = 0
+            while frontier:
+                low = frontier & -frontier
+                nxt |= adj[low.bit_length() - 1]
+                frontier ^= low
+            frontier = nxt & ~(cur | blocked)
+            cur |= frontier
+        out.append(cur)
+    return tuple(out)
+
+
 def _reach_row(g: DiGraph, avoid_mask: int) -> tuple:
     """Reach mask of every node in the subgraph avoiding avoid_mask, and 0
-    for the nodes inside it; memoised per graph."""
+    for the nodes inside it: a backward BFS per node; memoised per graph."""
     key = ("reach", avoid_mask)
-    memo = g._memo
-    row = memo.get(key)
+    row = g._memo.get(key)
     if row is None:
-        in_masks = g.in_masks
-        out = []
-        for v in range(g.n):
-            if avoid_mask >> v & 1:
-                out.append(0)
-                continue
-            # Backward BFS from v over in-neighbourhoods, a level at a time.
-            cur = frontier = 1 << v
-            while frontier:
-                pred = 0
-                while frontier:
-                    low = frontier & -frontier
-                    pred |= in_masks[low.bit_length() - 1]
-                    frontier ^= low
-                frontier = pred & ~(cur | avoid_mask)
-                cur |= frontier
-            out.append(cur)
-        row = memo[key] = tuple(out)
+        row = g._memo[key] = _closures(g.in_masks, avoid_mask)
     return row
 
 
@@ -199,40 +199,41 @@ class RedundantPath:
         return len(self.nodes)
 
 
-def _walk_state(g: DiGraph, seq: tuple) -> Optional[tuple]:
-    """Greedy-parse a node sequence; returns (phase, m1, m2, split) or None.
+def _hop(state: tuple, prev: int, w: int, i: int) -> Optional[tuple]:
+    """The walk state (phase, m1, m2, split) after the hop prev -> w onto
+    index i of the walk, or None if the walk stops being redundant.
 
-    phase 1 means the walk is still a simple path; phase 2 means the second
-    segment is open with visited-mask m2.  None means the sequence is not a
-    redundant path in g.
+    In phase 1 the walk is still a simple path with visited-mask m1, and
+    split is its last index; in phase 2 the second segment is open with
+    visited-mask m2, from the junction at index split.
     """
+    phase, m1, m2, split = state
+    bit = 1 << w
+    if phase == 2:
+        return None if m2 & bit else (2, m1, m2 | bit, split)
+    if m1 & bit:
+        return 2, m1, 1 << prev | bit, i - 1
+    return 1, m1 | bit, 0, i
+
+
+def _walk_state(g: DiGraph, seq: tuple) -> Optional[tuple]:
+    """Greedy-parse a node sequence: its walk state after the last hop, or
+    None if it is not a redundant path in g."""
     if not seq:
         return None
     prev = seq[0]
     if not 0 <= prev < g.n:
         return None
-    m1 = 1 << prev
-    m2 = 0
-    phase = 1
-    split = len(seq) - 1
+    state = (1, 1 << prev, 0, 0)
     for i in range(1, len(seq)):
         w = seq[i]
-        if not (0 <= w < g.n) or not g.out_masks[prev] >> w & 1:
+        if not (0 <= w < g.n and g.out_masks[prev] >> w & 1):
             return None
-        bit = 1 << w
-        if phase == 1:
-            if m1 & bit:
-                phase = 2
-                split = i - 1
-                m2 = (1 << prev) | bit
-            else:
-                m1 |= bit
-        else:
-            if m2 & bit:
-                return None
-            m2 |= bit
+        state = _hop(state, prev, w, i)
+        if state is None:
+            return None
         prev = w
-    return phase, m1, m2, split
+    return state
 
 
 def is_redundant_path(g: DiGraph, seq: tuple) -> bool:
@@ -256,27 +257,18 @@ def _redundant_by_terminal(g: DiGraph, excluded_mask: int) -> dict:
     allowed = [v for v in range(g.n) if not excluded_mask >> v & 1]
     by_term: dict = {v: [] for v in allowed}
     out_masks = g.out_masks
-    # DFS over canonical parses: (path, phase, m1, m2, split).
-    stack = [((s,), 1, 1 << s, 0, 0) for s in reversed(allowed)]
+    # DFS over canonical parses: (path, walk state).
+    stack = [((s,), (1, 1 << s, 0, 0)) for s in reversed(allowed)]
     while stack:
-        path, phase, m1, m2, split = stack.pop()
+        path, state = stack.pop()
         last = path[-1]
-        if phase == 1:
-            split = len(path) - 1
-        by_term[last].append(RedundantPath(path, split))
+        by_term[last].append(RedundantPath(path, state[3]))
         succ = out_masks[last] & ~excluded_mask
         for w in allowed:
-            bit = 1 << w
-            if not succ & bit:
-                continue
-            if phase == 1:
-                if m1 & bit:
-                    stack.append((path + (w,), 2, m1, (1 << last) | bit,
-                                  len(path) - 1))
-                else:
-                    stack.append((path + (w,), 1, m1 | bit, 0, 0))
-            elif not m2 & bit:
-                stack.append((path + (w,), 2, m1, m2 | bit, split))
+            if succ >> w & 1:
+                nxt = _hop(state, last, w, len(path))
+                if nxt is not None:
+                    stack.append((path + (w,), nxt))
     result = {v: frozenset(paths) for v, paths in by_term.items()}
     memo[key] = result
     return result
@@ -350,31 +342,14 @@ def count_redundant_paths(g: DiGraph, excluded: frozenset | int) -> dict:
 
 
 def count_simple_paths(g: DiGraph, c: int, v: int, within_mask: int) -> int:
-    """Number of simple (c,v)-paths whose nodes all lie inside within_mask."""
-    if not within_mask >> c & 1 or not within_mask >> v & 1:
-        return 0
-    memo = g._memo
-
-    def walk(u: int, visited: int) -> int:
-        if u == v:
-            return 1
-        key = ("spcount", v, within_mask, u, visited)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        total = 0
-        succ = g.out_masks[u] & within_mask & ~visited
-        w = 0
-        rest = succ
-        while rest:
-            if rest & 1:
-                total += walk(w, visited | (1 << w))
-            rest >>= 1
-            w += 1
-        memo[key] = total
-        return total
-
-    return walk(c, 1 << c)
+    """Number of simple (c,v)-paths whose nodes all lie inside within_mask:
+    the length of their enumeration, memoised per graph."""
+    key = ("spcount", c, v, within_mask)
+    count = g._memo.get(key)
+    if count is None:
+        count = g._memo[key] = len(
+            enumerate_simple_paths(g, c, v, within_mask))
+    return count
 
 
 def enumerate_simple_paths(g: DiGraph, c: int, v: int,
@@ -446,27 +421,11 @@ def _source_component_mask(g: DiGraph, removed_mask: int) -> int:
     """Mask of the nodes that reach every node once the nodes in
     removed_mask lose their outgoing edges: one forward BFS per node."""
     key = ("source", removed_mask)
-    memo = g._memo
-    cached = memo.get(key)
-    if cached is not None:
-        return cached
-    out_masks = _reduced_out_masks(g, removed_mask)
-    full = g.full_mask
-    result = 0
-    for s in range(g.n):
-        # Forward BFS from s over the reduced out-masks, a level at a time.
-        cur = frontier = 1 << s
-        while frontier:
-            succ = 0
-            while frontier:
-                low = frontier & -frontier
-                succ |= out_masks[low.bit_length() - 1]
-                frontier ^= low
-            frontier = succ & ~cur
-            cur |= frontier
-        if cur == full:
-            result |= 1 << s
-    memo[key] = result
+    result = g._memo.get(key)
+    if result is None:
+        row = _closures(_reduced_out_masks(g, removed_mask), 0)
+        result = g._memo[key] = mask_of(
+            s for s in range(g.n) if row[s] == g.full_mask)
     return result
 
 

@@ -147,7 +147,7 @@ class Thread:
         self.consistent = True
         self.vals = {}  # initiator -> value, restricted to F_v-avoiding paths
         self.fra_counts = {}  # (init, counter, payload) -> paths received
-        self.fra_full = {}  # init -> list of (counter, payload) fully covered
+        self.fra_full = {}  # init -> least counter fully covered
         self.fra_ok_mask = 0
         self.qual = set()  # (init, counter, payload) delivered inside reach
 
@@ -428,7 +428,8 @@ class Node:
                 c = t.fra_counts.get(key, 0) + 1
                 t.fra_counts[key] = c
                 if c == count_simple_paths(g, init, me, t.reach_mask):
-                    t.fra_full.setdefault(init, []).append((k, payload))
+                    # A larger counter is FIFO-received only if this is.
+                    t.fra_full[init] = min(k, t.fra_full.get(init, k))
                     rstate.dirty.add(t.idx)
 
     # -- verification and advancement ---------------------------------------
@@ -450,12 +451,10 @@ class Node:
         c = 0
         while remaining:
             if remaining & 1:
-                for k, _payload in t.fra_full.get(c, ()):
-                    if frontier.get(c, 0) >= k - 1:
-                        t.fra_ok_mask |= 1 << c
-                        break
-                else:
+                k = t.fra_full.get(c)
+                if k is None or frontier.get(c, 0) < k - 1:
                     return False
+                t.fra_ok_mask |= 1 << c
             remaining >>= 1
             c += 1
         for init, k, payload in t.qual:

@@ -20,6 +20,7 @@ from reachcons import (DiGraph, RoundSkewDelay, TargetedSlowDelay,
 from reachcons.adversary import Crash
 from reachcons.cli import metrics_csv
 from test_golden import run_digest
+from test_protocol import install_latch_check, install_oracle
 
 K = 1.0
 EPS = 0.25
@@ -67,6 +68,17 @@ def delay_policies(n):
     ]
 
 
+def stock_runs(graph_key, policies):
+    """One run per built-in fault plan and per delay policy of
+    policies(n), fresh each call: (plan, policy index) -> metrics."""
+    g, f, inputs = GRAPHS[graph_key]
+    results = {}
+    for name, plan in sorted(builtin_plans(g, f).items()):
+        for di, delay in enumerate(policies(g.n)):
+            results[(name, di)] = run(g, inputs, f, plan, delay, K, EPS)
+    return results
+
+
 _suite_cache = {}
 
 
@@ -75,12 +87,8 @@ def suite(graph_key):
     cached = _suite_cache.get(graph_key)
     if cached is not None:
         return cached
-    g, f, inputs = GRAPHS[graph_key]
     t0 = time.time()
-    results = {}
-    for name, plan in sorted(builtin_plans(g, f).items()):
-        for di, delay in enumerate(delay_policies(g.n)):
-            results[(name, di)] = run(g, inputs, f, plan, delay, K, EPS)
+    results = stock_runs(graph_key, delay_policies)
     elapsed = time.time() - t0
     _suite_cache[graph_key] = (results, elapsed)
     return results, elapsed
@@ -365,6 +373,95 @@ def test_directed_runs_keep_the_invariants_and_their_digests(graph_key):
         assert assert_round_invariants(m).ok, (plan, di)
     assert {k: run_digest(m)[:16] for k, m in results.items()} == (
         DIRECTED_PINS[graph_key])
+
+
+# Victims that are edges of each directed graph.  The stock policies slow
+# edges of the cliques: on d8-1515 the fourth slows none, on d5-698 the third
+# slows only (1, 0) and on d6-790 the fourth only (2, 0).  Here node 1 sends
+# slowly on every out-edge.
+EDGE_VICTIMS = {
+    "d5-698": frozenset({(1, 0), (1, 2), (1, 3), (1, 4)}),
+    "d6-790": frozenset({(1, 0), (1, 2), (1, 3), (1, 4), (1, 5)}),
+    "d8-1515": frozenset({(1, 0), (1, 2), (1, 4), (1, 6), (1, 7)}),
+}
+# test_golden.run_digest of each run, its first 16 hex digits:
+# graph -> plan -> digest.
+EDGE_VICTIM_PINS = {
+    "d5-698": {"crash-max": "44c294c1c7050326",
+               "crash-min": "44c294c1c7050326",
+               "equivocator": "864517202969b1b4",
+               "forger": "d0ac9b93b3842fad",
+               "split-brain": "eec985466d7d9581"},
+    "d6-790": {"crash-max": "275e597b4ae83498",
+               "crash-min": "275e597b4ae83498",
+               "equivocator": "5bc6659791df0068",
+               "forger": "f4b8ae888d8aa60a",
+               "split-brain": "5bc6659791df0068"},
+    "d8-1515": {"crash-max": "f2b64424c2a6faab",
+                "crash-min": "f2b64424c2a6faab",
+                "equivocator": "c694e76af498f8a1",
+                "forger": "508f10c28bb2d6f3",
+                "split-brain": "6706dfdaeb71c0d4"},
+}
+
+
+def acceptance_failures(m) -> list:
+    """Checks 4 to 8 and the invariant scan on one run, as failures."""
+    failures = list(assert_round_invariants(m).violations)
+    for r in range(m.r_out):
+        s0, s1 = m.spread(r), m.spread(r + 1)
+        if s0 is None or s1 is None or s1 > s0 / 2.0 + TOL:
+            failures.append(("halving", r, s0, s1))
+        if m.U[r + 1] is None or m.U[r + 1] > m.U[0] + TOL or (
+                m.mu[r + 1] is None or m.mu[r + 1] < m.mu[0] - TOL):
+            failures.append(("validity", r + 1))
+        recs = [m.fa_records.get((v, r)) for v in m.honest]
+        if None in recs:
+            failures.append(("liveness", r))
+        elif any(not a.survivors & b.survivors
+                 for a, b in combinations(recs, 2)):
+            failures.append(("overlap", r))
+    vals = list(m.outputs.values())
+    if (m.r_out != 3 or m.stalled or sorted(m.outputs) != m.honest
+            or max(vals) - min(vals) >= EPS):
+        failures.append(("termination", m.r_out, m.stalled, vals))
+    return failures
+
+
+@pytest.mark.parametrize("graph_key", DIRECTED)
+def test_directed_runs_slowing_edges_keep_the_guarantees(graph_key):
+    g = GRAPHS[graph_key][0]
+    victims = EDGE_VICTIMS[graph_key]
+    assert victims <= g.edges
+    results = stock_runs(graph_key, lambda n: [
+        TargetedSlowDelay(seed=13, factor=7, victims=victims)])
+    for (plan, _), m in results.items():
+        assert acceptance_failures(m) == [], plan
+    assert {plan: run_digest(m)[:16] for (plan, _), m in results.items()} == (
+        EDGE_VICTIM_PINS[graph_key])
+
+
+# ---------------------------------------------------------------------------
+# 8c. The directed graphs under the differential oracle and the latch check
+
+
+@pytest.mark.parametrize("graph_key", DIRECTED)
+def test_directed_latches_match_their_histories(monkeypatch, graph_key):
+    tally = install_latch_check(monkeypatch)
+    stock_runs(graph_key, delay_policies)
+    assert tally["latches"]
+    assert tally["mismatches"] == []
+
+
+def test_directed_engine_matches_the_reference_at_every_advance(monkeypatch):
+    # On d5-698 only: the oracle takes about 13 s over d6-790's 25 runs and
+    # about 54 s over d8-1515's.
+    tally = install_oracle(monkeypatch)
+    results = stock_runs("d5-698", delay_policies)
+    assert tally["mismatches"] == []
+    assert tally["advances"] >= sum(len(m.honest) * m.r_out
+                                    for m in results.values())
+    assert tally["verdicts"] and tally["false"]
 
 
 # ---------------------------------------------------------------------------

@@ -498,6 +498,11 @@ def test_run_rejects_non_finite_behaviour_values(tmp_path, capsys, behavior):
     '"claimed": [0.0]}}}}' % K4_CONFIG,
     '{%s, "plan": {"behaviors": {"3": {"kind": "forge", "omit": 1, '
     '"claimed": [true]}}}}' % K4_CONFIG,
+    # A set would fold true and 1.0 into node 1.
+    '{%s, "plan": {"behaviors": {"3": {"kind": "forge", "omit": 1, '
+    '"claimed": [1, true]}}}}' % K4_CONFIG,
+    '{%s, "plan": {"behaviors": {"3": {"kind": "forge", "omit": 1, '
+    '"claimed": [1, 1.0]}}}}' % K4_CONFIG,
     # Spec fields are read as their JSON type, not coerced to it.
     '{%s, "plan": {"behaviors": {"3": {"kind": "forge", "omit": 1, '
     '"forward": "false"}}}}' % K4_CONFIG,
@@ -531,6 +536,7 @@ def test_run_rejects_non_finite_behaviour_values(tmp_path, capsys, behavior):
 ], ids=["str-f", "str-K", "str-delay-lo", "str-plan", "int-graph",
         "not-an-object", "crash-node-outside", "forge-node-outside",
         "equivocate-dest-outside", "float-claimed", "bool-claimed",
+        "int-and-bool-claimed", "int-and-float-claimed",
         "str-forward", "float-after", "numeric-str-delay-lo",
         "misspelt-delay-key", "extra-plan-key", "plus-node-key",
         "zero-padded-node-key", "space-equivocate-key",

@@ -292,6 +292,33 @@ def test_simple_path_enumeration_matches_count():
                     assert mask_of(p) & ~within == 0
 
 
+def _simple_paths_oracle(g, within):
+    """Every node sequence with distinct nodes, an edge between each two
+    consecutive ones and every node inside within, keyed by its ends."""
+    out = {}
+    for k in range(1, g.n + 1):
+        for seq in permutations(range(g.n), k):
+            if (all(within >> v & 1 for v in seq)
+                    and all(g.has_edge(a, b) for a, b in zip(seq, seq[1:]))):
+                out.setdefault((seq[0], seq[-1]), set()).add(seq)
+    return out
+
+
+def test_simple_paths_match_definition_oracle():
+    cases = [(g, within) for n in range(1, 4) for g in all_digraphs(n)
+             for within in range(1 << n)]
+    cases += [(g, g.full_mask) for g in all_digraphs(4)]
+    for g, within in cases:
+        want = _simple_paths_oracle(g, within)
+        for c in range(g.n):
+            for v in range(g.n):
+                paths = enumerate_simple_paths(g, c, v, within)
+                expected = want.get((c, v), set())
+                assert len(paths) == len(set(paths))
+                assert set(paths) == expected, (g.edges, within, c, v)
+                assert count_simple_paths(g, c, v, within) == len(expected)
+
+
 # ---------------------------------------------------------------------------
 # f-covers
 
