@@ -14,16 +14,21 @@ over MessageSet used for unit-level cross-checks.
 A path of either message kind travels and is stored as one int, its key
 (`path_key`): one digit of `n.bit_length()` bits per hop, node v written as
 v + 1, first node most significant.  Extending a path is a shift and an or,
-the key is its own canonical id, and a node's VALUE history maps keys to one
-shared (value, node mask) record per distinct pair.  A history is keyed by
-the incoming key p, the one the wire brought, rather than by its extension
-q = p << bits | (me + 1): at one receiver the two map one to one, and p is
-an int object the sender already shares with its other receivers, so an
-entry allocates no key of its own.  A wire's sender is its key's last hop
-(honest wires are built so, and `adversary.PlanRuntime.intercept` refuses
-any faulty emission that is not), so queued wires carry no sender.  Both
-kinds carry the key's walk state, which `intercept` sets on every faulty
-emission, so receivers check nothing but the phase.
+the key is its own canonical id, and a node's VALUE history for a round
+maps each distinct (value, node mask) record to the list of keys first
+heard with it.  A history holds the incoming key p, the one the wire
+brought, rather than its extension q = p << bits | (me + 1): at one
+receiver the two map one to one, and p is an int object the sender already
+shares with its other receivers, so an entry costs one list slot.  A wire's
+sender is its key's last hop (honest wires are built so, and
+`adversary.PlanRuntime.intercept` refuses any faulty emission that is not),
+so queued wires carry no sender.  An honest node starts each round once and
+forwards a key only when it first records it, so by induction on path
+length a key whose last hop is honest reaches a receiver at most once per
+round: only keys relayed by a faulty node can repeat, and only they are
+looked up in the round's `relayed` map.  Both kinds carry the key's walk
+state, which `intercept` sets on every faulty emission, so receivers check
+nothing but the phase.
 """
 
 from __future__ import annotations
@@ -156,17 +161,20 @@ class RoundState:
     """A node's message history and threads for one round, kept alive so
     past-round traffic is still recorded and forwarded after advancing."""
 
-    __slots__ = ("r", "path_first", "recs", "extras", "by_init_value",
+    __slots__ = ("r", "recs", "relayed", "extras", "by_init_value",
                  "threads", "nextround", "comp_paths", "watched",
                  "qual_threads", "dirty", "fa_record", "latch_values",
                  "comp_cache", "clause_true")
 
     def __init__(self, r, threads):
         self.r = r
-        # Keyed by the incoming key p; the path itself is p extended by
-        # this node, and the own value's is p = 0.
-        self.path_first = {}  # p -> (first value received on it, node mask)
-        self.recs = {}  # (value, node mask) -> the one record shared by keys
+        # The history holds incoming keys p; the path itself is p extended
+        # by this node, and the own value's is p = 0.  Each key is listed
+        # once, under the record it was first heard with.
+        self.recs = {}  # (value, node mask) -> list of keys p
+        # Only a key whose last hop is faulty can arrive twice, so only such
+        # keys are entered here.
+        self.relayed = {}  # p -> (first value received on it, node mask)
         self.extras = set()  # duplicate-path (value, p) pairs
         self.by_init_value = {}  # (init, value) -> set of path masks
         self.threads = threads
@@ -221,6 +229,8 @@ class Node:
         self._fa_cands = world.cover_cands(full)
         self._bits = g.n.bit_length()  # bits per digit of a packed path
         self._hop = (1 << self._bits) - 1  # the last digit of a packed path
+        # Last-hop digits of the keys that can repeat: those of faulty nodes.
+        self._relay_digits = frozenset(v + 1 for v in world._faulty)
 
     # -- helpers -----------------------------------------------------------
 
@@ -324,16 +334,21 @@ class Node:
         q = p << bits | (me + 1)
         qmask = m1 | m2
         init = (q >> bits * ((q.bit_length() - 1) // bits)) - 1  # path_init
-        pf = rstate.path_first
-        prior = pf.get(p)
-        if prior is not None:
-            if prior[0] == x or (x, p) in rstate.extras:
-                return
-            rstate.extras.add((x, p))
-            self._mark_value(rstate, init, x, qmask)
-            return
         rec = (x, qmask)
-        pf[p] = rstate.recs.setdefault(rec, rec)
+        if (p & self._hop) in self._relay_digits:
+            prior = rstate.relayed.get(p)
+            if prior is not None:
+                if prior[0] == x or (x, p) in rstate.extras:
+                    return
+                rstate.extras.add((x, p))
+                self._mark_value(rstate, init, x, qmask)
+                return
+            rstate.relayed[p] = rec
+        keys = rstate.recs.get(rec)
+        if keys is None:
+            rstate.recs[rec] = [p]
+        else:
+            keys.append(p)
         if phase == 1:
             dests = self.out_list
         else:
@@ -524,31 +539,22 @@ class Node:
     # -- filter and average --------------------------------------------------
 
     def _filter_and_average(self, rstate, t: Thread):
-        pf = rstate.path_first
-        # Bucket incoming keys by value; within a bucket keys are unique, so
-        # only the two boundary buckets ever need path order.  A
-        # duplicate-path key is in path_first too, whose record gives its
-        # node mask.
-        groups: dict = {}
-        for p, (v, _) in pf.items():
-            gr = groups.get(v)
-            if gr is None:
-                groups[v] = [p]
-            else:
-                gr.append(p)
+        # Bucket the history by value as (node mask, keys) pairs, one per
+        # record; within a bucket keys are unique, so only the two boundary
+        # buckets ever need path order.  A duplicate-path key was relayed
+        # by a faulty node, and its first record gives its node mask.
+        groups: dict = {}  # value -> [(node mask, keys)]
+        for (v, m), keys in rstate.recs.items():
+            groups.setdefault(v, []).append((m, keys))
         for v, p in rstate.extras:
-            groups.setdefault(v, []).append(p)
+            groups.setdefault(v, []).append((rstate.relayed[p][1], (p,)))
         if not groups:
             raise ProtocolIntegrityError("empty message history at advance")
-        # by_init_value holds the node mask of every history path under its
-        # (initiator, value) pair.
-        masks: dict = {}  # value -> node masks of its paths
         init_values: dict = {}  # initiator -> its values
-        for (init, v), ms in rstate.by_init_value.items():
-            masks.setdefault(v, set()).update(ms)
+        for init, v in rstate.by_init_value:
             init_values.setdefault(init, set()).add(v)
         vals = sorted(groups)
-        group_masks = [frozenset(masks[v]) for v in vals]
+        group_masks = [frozenset(m for m, _ in groups[v]) for v in vals]
         cands = self._fa_cands
         glo, alive_lo = self._trim_scan(group_masks, cands, range(len(vals)))
         ghi, alive_hi = self._trim_scan(group_masks, cands,
@@ -565,11 +571,11 @@ class Node:
         top = bits * width
         last = self.me + 1
 
-        def aligned(keys):
+        def aligned(bucket):
             return sorted([
                 ((q := p << bits | last)
-                 << bits * (width - (q.bit_length() - 1) // bits), pf[p][1])
-                for p in keys])
+                 << bits * (width - (q.bit_length() - 1) // bits), m)
+                for m, keys in bucket for p in keys])
 
         lo_items = aligned(groups[lo_val])
         hi_items = lo_items if glo == ghi else aligned(groups[hi_val])
@@ -591,7 +597,7 @@ class Node:
                      for a, _ in items}
         survivors.update((v, init) for init, v in rstate.by_init_value
                          if v in inner)
-        sizes = [len(groups[v]) for v in vals]
+        sizes = [sum(len(keys) for _, keys in groups[v]) for v in vals]
         return (lo_val + hi_val) / 2.0, FARecord(
             fv=t.fvset, total=sum(sizes),
             lo_trim=sum(sizes[:glo]) + p_rel,

@@ -20,7 +20,8 @@ from reachcons import (DiGraph, RoundSkewDelay, TargetedSlowDelay,
 from reachcons.adversary import Crash
 from reachcons.cli import metrics_csv
 from test_golden import run_digest
-from test_protocol import install_latch_check, install_oracle
+from test_protocol import (install_history_check, install_latch_check,
+                           install_oracle)
 
 K = 1.0
 EPS = 0.25
@@ -442,7 +443,8 @@ def test_directed_runs_slowing_edges_keep_the_guarantees(graph_key):
 
 
 # ---------------------------------------------------------------------------
-# 8c. The directed graphs under the differential oracle and the latch check
+# 8c. The directed graphs under the differential oracle, the latch check
+# and the history check
 
 
 @pytest.mark.parametrize("graph_key", DIRECTED)
@@ -451,6 +453,14 @@ def test_directed_latches_match_their_histories(monkeypatch, graph_key):
     stock_runs(graph_key, delay_policies)
     assert tally["latches"]
     assert tally["mismatches"] == []
+
+
+@pytest.mark.parametrize("graph_key", DIRECTED)
+def test_directed_runs_repeat_only_faulty_relays(monkeypatch, graph_key):
+    tally = install_history_check(monkeypatch)
+    stock_runs(graph_key, delay_policies)
+    assert len(tally["extras"]) == 25
+    assert tally["faults"] == []
 
 
 def test_directed_engine_matches_the_reference_at_every_advance(monkeypatch):

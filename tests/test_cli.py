@@ -227,7 +227,11 @@ def k6_scenario(tmp_path, trace=None) -> str:
 
 def test_traced_run_memory_stays_near_untraced(tmp_path):
     # The trace is streamed to its file, so a traced run holds no more
-    # than an untraced one: a record lives only while it is written.
+    # than an untraced one: a record lives only while it is written.  What
+    # it holds beyond that is the queued fields of each in-flight send to
+    # the crashed node and the trace's text tables, about 0.26-0.40 MB;
+    # the allowance is a fixed 425,000 B, while retaining the run's 97,927
+    # trace lines would take about 18 MB.
     out = str(tmp_path / "m.csv")
     plain = k6_scenario(tmp_path)
     traced = k6_scenario(tmp_path, str(tmp_path / "t.jsonl"))
@@ -241,7 +245,7 @@ def test_traced_run_memory_stays_near_untraced(tmp_path):
         finally:
             tracemalloc.stop()
     assert (tmp_path / "t.jsonl").stat().st_size > 0
-    assert peaks[1] <= 1.1 * peaks[0]
+    assert peaks[1] - peaks[0] <= 425_000
 
 
 @pytest.mark.parametrize("text,argv,code", [

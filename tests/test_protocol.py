@@ -20,7 +20,7 @@ from reachcons.graph import has_f_cover, mask_of, set_of, subset_masks
 from reachcons.protocol import (Node, PayloadView, candidate_sets,
                                 completeness, filter_and_average, path_init,
                                 path_key, path_last, path_of, path_order)
-from reachcons.simnet import thread_count
+from reachcons.simnet import SimWorld, thread_count
 from test_adversary import REPRO_PLAN, forge_prefixes, forged_keys
 from test_golden import delay_policy
 
@@ -201,6 +201,12 @@ def test_outputs_equal_midpoint_of_final_record():
 # Latch timing
 
 
+def first_records(rstate) -> dict:
+    """A round's VALUE history as {p: (value, node mask)}: each key of
+    rstate.recs mapped to the record it was first heard with."""
+    return {p: rec for rec, keys in rstate.recs.items() for p in keys}
+
+
 def install_latch_check(monkeypatch) -> dict:
     """Wrap Node._latch so that each latch is checked against the history
     it latches on.  Returns the tallies, with every mismatch under
@@ -219,12 +225,11 @@ def install_latch_check(monkeypatch) -> dict:
         def q(p):
             return p << n.bit_length() | (self.me + 1)
 
-        keys = {q(p) for p, (_, m) in rstate.path_first.items()
-                if not m & t.fvmask}
+        first = first_records(rstate)
+        keys = {q(p) for p, (_, m) in first.items() if not m & t.fvmask}
         want = {path_key(p.nodes, n) for p in
                 enumerate_redundant_paths(self.g, t.fvset, self.me)}
-        history = {(path_init(q(p), n), x)
-                   for p, (x, m) in rstate.path_first.items()
+        history = {(path_init(q(p), n), x) for p, (x, m) in first.items()
                    if not m & t.fvmask}
         history |= {(path_init(q(p), n), x) for x, p in rstate.extras
                     if not mask_of(path_of(q(p), n)) & t.fvmask}
@@ -327,14 +332,14 @@ def test_untrimmed_midpoint_is_caught_by_one_sided_liars(monkeypatch, plan,
 
 def history_of(node, rstate) -> list:
     """A round's VALUE history as sorted (value, path) pairs: each key p of
-    path_first and of extras extended by the node to its path q."""
+    first_records and of extras extended by the node to its path q."""
     n, me = node.g.n, node.me
     bits = n.bit_length()
 
     def path(p):
         return path_of(p << bits | (me + 1), n)
 
-    return sorted([(x, path(p)) for p, (x, _) in rstate.path_first.items()]
+    return sorted([(x, path(p)) for p, (x, _) in first_records(rstate).items()]
                   + [(x, path(p)) for x, p in rstate.extras])
 
 
@@ -361,7 +366,7 @@ def install_oracle(monkeypatch) -> dict:
     sets = {}  # (rstate, history size) -> its MessageSet
 
     def message_set_of(node, rstate):
-        key = (rstate, len(rstate.path_first), len(rstate.extras))
+        key = (rstate, len(first_records(rstate)), len(rstate.extras))
         if key not in sets:
             sets[key] = message_set(history_of(node, rstate))
         return sets[key]
@@ -487,3 +492,77 @@ def test_oracle_catches_each_mutant(monkeypatch, mutant):
     for case in ORACLE_CASES:
         run_oracle_case(*case)
     assert tally["mismatches"]
+
+
+# ---------------------------------------------------------------------------
+# History layout: only a key a faulty node relays can arrive twice
+
+
+def install_history_check(monkeypatch) -> dict:
+    """Wrap SimWorld.run_loop so that each run's VALUE histories are
+    checked once its deliveries end: no round lists a key twice in its
+    records, and every key in a round's relayed map has a faulty last hop.
+    Returns the tallies: per run, the keys that landed in extras, and every
+    breach under "faults"."""
+    run_loop = SimWorld.run_loop
+    tally = {"extras": [], "faults": []}
+
+    def checked_run_loop(self, budget):
+        run_loop(self, budget)
+        n = self.g.n
+        extras = []
+        for node in self.nodes:
+            for r, rstate in node.rounds.items():
+                keys = [p for ks in rstate.recs.values() for p in ks]
+                if len(keys) != len(set(keys)):
+                    tally["faults"].append((node.me, r, "repeated key"))
+                tally["faults"] += [(node.me, r, "honest relay", p)
+                                    for p in rstate.relayed
+                                    if path_last(p, n) not in self._faulty]
+                extras += [p for _, p in rstate.extras]
+        tally["extras"].append(extras)
+
+    monkeypatch.setattr(SimWorld, "run_loop", checked_run_loop)
+    return tally
+
+
+@pytest.mark.parametrize("kind,plan,di", ORACLE_CASES)
+def test_only_faulty_relays_repeat_a_key(monkeypatch, kind, plan, di):
+    tally = install_history_check(monkeypatch)
+    run_oracle_case(kind, plan, di)
+    assert tally["faults"] == []
+
+
+def run_repro_b(seed):
+    # With forge_prefixes(forged_keys(K4, 3, "B")), node 3 adds every real
+    # redundant path ending at it, with its own value, to its round-start
+    # VALUEs: keys it also relays with their initiators' values.
+    return run(K4, [0.0, 1.0, 1.0, 0.0], 1, REPRO_PLAN,
+               UniformDelay(seed=seed), 1.0, 0.25)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_repeated_faulty_relays_land_in_extras(monkeypatch, seed):
+    forge_prefixes(monkeypatch, forged_keys(K4, 3, "B"))
+    tally = install_history_check(monkeypatch)
+    run_repro_b(seed)
+    assert tally["faults"] == []
+    [extras] = tally["extras"]
+    assert len(extras) == [42, 49, 42, 42, 42][seed]
+    assert {path_last(p, 4) for p in extras} == {3}
+
+
+def relay_blind_init(self, world, me, x0):
+    # Receivers never look a key up in relayed: every key is listed as new.
+    NODE_INIT(self, world, me, x0)
+    self._relay_digits = frozenset()
+
+
+def test_receivers_that_skip_the_relay_lookup_are_caught(monkeypatch):
+    monkeypatch.setattr(Node, "__init__", relay_blind_init)
+    forge_prefixes(monkeypatch, forged_keys(K4, 3, "B"))
+    tally = install_history_check(monkeypatch)
+    for seed in range(5):
+        run_repro_b(seed)
+    assert tally["extras"] == [[]] * 5
+    assert tally["faults"]

@@ -21,6 +21,7 @@ from reachcons.protocol import (COMP_T, VAL_T, Node, PayloadView, path_key,
                                 path_of)
 from reachcons.simnet import SimWorld, rounds_to_output, thread_count
 from test_golden import K4_INPUTS, K4_PINS, K7_INPUTS, delay_policy
+from test_protocol import first_records
 
 
 def clique(n):
@@ -403,12 +404,12 @@ def test_finished_run_is_freed_by_reference_counting():
 
 def test_path_history_memory_per_entry(monkeypatch):
     # A node keeps every path it has heard from in every round, so the
-    # history is the run's memory.  Paths are packed ints, a history shares
-    # one (value, mask) record per distinct pair, and an entry is keyed by
-    # the incoming key, an int the sender shares with its other receivers:
-    # the whole run peaks at about 92 B per retained path_first entry,
-    # against about 103 B with a new extended key per entry and about
-    # 220 B with tuple paths and a record per path.
+    # history is the run's memory.  Paths are packed ints, and a history
+    # lists its incoming keys, ints the sender shares with its other
+    # receivers, under one (value, mask) record per distinct pair: the
+    # whole run peaks at about 53 B per retained history entry, against
+    # about 91 B with a dict entry per key, about 103 B with a new extended
+    # key per entry and about 220 B with tuple paths and a record per path.
     nodes = []
     init = Node.__init__
 
@@ -425,10 +426,10 @@ def test_path_history_memory_per_entry(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    entries = sum(len(rs.path_first) for node in nodes
+    entries = sum(len(first_records(rs)) for node in nodes
                   for rs in node.rounds.values())
     assert entries == 3 * 5 * 3201  # rounds x honest nodes x K5 paths
-    assert peak / entries <= 100
+    assert peak / entries <= 60
 
 
 @pytest.mark.parametrize("n,f,plan", [(4, 1, "equivocator"), (4, 1, "forge"),
