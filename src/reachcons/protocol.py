@@ -15,11 +15,13 @@ A path of either message kind travels and is stored as one int, its key
 (`path_key`): one digit of `n.bit_length()` bits per hop, node v written as
 v + 1, first node most significant.  Extending a path is a shift and an or,
 the key is its own canonical id, and a node's VALUE history for a round
-maps each distinct (value, node mask) record to the list of keys first
-heard with it.  A history holds the incoming key p, the one the wire
-brought, rather than its extension q = p << bits | (me + 1): at one
-receiver the two map one to one, and p is an int object the sender already
-shares with its other receivers, so an entry costs one list slot.  A wire's
+maps each distinct (value, node mask) record to the keys first heard with
+it.  A history holds the incoming key p, the one the wire brought, rather
+than its extension q = p << bits | (me + 1): at one receiver the two map
+one to one, and p is one digit shorter.  A recorded p has at most 2n - 2
+digits, so up to n = 9 it fits a 64-bit slot of an `array('Q')` and an
+entry costs 8 bytes and no int object; from n = 10 on the keys are listed
+in a plain list.  A wire's
 sender is its key's last hop (honest wires are built so, and
 `adversary.PlanRuntime.intercept` refuses any faulty emission that is not),
 so queued wires carry no sender.  An honest node starts each round once and
@@ -33,7 +35,9 @@ nothing but the phase.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional
 
 from .errors import ProtocolIntegrityError
@@ -170,8 +174,9 @@ class RoundState:
         self.r = r
         # The history holds incoming keys p; the path itself is p extended
         # by this node, and the own value's is p = 0.  Each key is listed
-        # once, under the record it was first heard with.
-        self.recs = {}  # (value, node mask) -> list of keys p
+        # once, under the record it was first heard with, in an array of
+        # 64-bit slots, or a list where keys can be longer (Node._key_list).
+        self.recs = {}  # (value, node mask) -> keys p
         # Only a key whose last hop is faulty can arrive twice, so only such
         # keys are entered here.
         self.relayed = {}  # p -> (first value received on it, node mask)
@@ -229,6 +234,11 @@ class Node:
         self._fa_cands = world.cover_cands(full)
         self._bits = g.n.bit_length()  # bits per digit of a packed path
         self._hop = (1 << self._bits) - 1  # the last digit of a packed path
+        # A recorded key p has at most 2n - 2 digits, as its extension is a
+        # redundant path of at most 2n - 1 nodes.  Up to n = 9 every such key
+        # fits a 64-bit array slot; past that a history lists int objects.
+        self._key_list = (partial(array, "Q")
+                          if (2 * g.n - 2) * self._bits <= 64 else list)
         # Last-hop digits of the keys that can repeat: those of faulty nodes.
         self._relay_digits = frozenset(v + 1 for v in world._faulty)
 
@@ -346,7 +356,7 @@ class Node:
             rstate.relayed[p] = rec
         keys = rstate.recs.get(rec)
         if keys is None:
-            rstate.recs[rec] = [p]
+            rstate.recs[rec] = self._key_list((p,))
         else:
             keys.append(p)
         if phase == 1:

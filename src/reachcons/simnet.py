@@ -14,11 +14,12 @@ An honest node floods through it; a faulty node through `SimWorld.send`,
 which drops a mute sender's sends (`FaultPlan.mute`), passes the rest
 through the plan and queues each emission through `send_flood`.
 
+A bucket holds its events flat, three slots each: `dest, wire, sent_at`.
 Faulty nodes whose behaviour can never emit (`FaultPlan.inert`) are not
 simulated: deliveries to them are counted and traced, then discarded.  Such
 a send still draws its delay, so the random stream and the delivery count
-stay exact, but it joins its bucket as None, followed in a traced run by
-only the fields its trace line needs.
+stay exact; an untraced run queues None as its wire, and a traced one the
+wire its trace line is read from.
 
 A traced run hands each delivery's JSONL line to the trace callable as the
 delivery happens, so no record outlives its delivery.  A line is formatted
@@ -33,7 +34,6 @@ import heapq
 import math
 import random
 from dataclasses import dataclass, field
-from itertools import islice
 from typing import Callable, Dict, List, Optional
 
 from .adversary import FaultPlan, PlanRuntime
@@ -177,13 +177,14 @@ class SimWorld:
         self._faulty = plan.faulty
         self._delay = delay.delay
         self.time = 0
-        # deliver time -> [(dest, wire, sent_at)] in send order, and a heap
-        # of the distinct deliver times.  A send to an inert node is queued
-        # as None; a traced run follows it with what its trace line needs
-        # (see send_flood).
+        # deliver time -> [dest, wire, sent_at, dest, wire, ...], three flat
+        # slots per event in send order, and a heap of the distinct deliver
+        # times.  An untraced run queues None as the wire of a send to an
+        # inert node, so no wire outlives its handled deliveries.
         self.buckets: dict = {}
         self.times: list = []
         self.inert = plan.inert
+        self._wireless = plan.inert if trace is None else frozenset()
         self._mute = plan.mute
         self.deliveries = 0
         self.pending_honest = 0
@@ -232,23 +233,14 @@ class SimWorld:
         now = self.time
         buckets = self.buckets
         delay = self._delay
-        inert = self.inert
-        traced = self.trace is not None
+        wireless = self._wireless
         for dest in dests:
             t = now + delay(sender, dest)
             bucket = buckets.get(t)
             if bucket is None:
                 bucket = buckets[t] = []
                 heapq.heappush(self.times, t)
-            if dest not in inert:
-                bucket.append((dest, wire, now))
-            elif traced:
-                # None, dest and send time, then the wire's first four
-                # fields flat: no tuple per send, and no wire kept alive
-                # after its handled deliveries.  A trace line needs no more.
-                bucket += (None, dest, now) + wire[:4]
-            else:
-                bucket.append(None)
+            bucket += (dest, None if dest in wireless else wire, now)
 
     def run_loop(self, budget: int):
         # Deliveries to inert nodes are counted and traced, not handled.
@@ -264,7 +256,7 @@ class SimWorld:
             # A send to time t while this bucket drains would open a fresh
             # bucket for t, popped next: the order stays exact.
             events = iter(buckets.pop(t))
-            for event in events:
+            for dest, m, sent_at in zip(events, events, events):
                 if self.pending_honest <= 0:
                     self.deliveries = delivered
                     return
@@ -272,14 +264,6 @@ class SimWorld:
                 if delivered > budget:
                     self.deliveries = delivered
                     raise self._budget_error(budget)
-                if event is None:
-                    if trace is not None:
-                        # A traced send to an inert node: the fields that
-                        # send_flood queued after its None.
-                        dest, sent_at, *m = islice(events, 6)
-                        trace(self._trace_record(dest, m, sent_at, t))
-                    continue
-                dest, m, sent_at = event
                 if trace is not None:
                     trace(self._trace_record(dest, m, sent_at, t))
                 handler = handlers[dest]

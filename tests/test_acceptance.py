@@ -20,12 +20,11 @@ from reachcons import (DiGraph, RoundSkewDelay, TargetedSlowDelay,
 from reachcons.adversary import Crash
 from reachcons.cli import metrics_csv
 from test_golden import run_digest
-from test_protocol import (install_history_check, install_latch_check,
-                           install_oracle)
+from test_protocol import (TOL, guarantee_failures, install_history_check,
+                           install_latch_check, install_oracle)
 
 K = 1.0
 EPS = 0.25
-TOL = 1e-12
 
 
 def clique(n):
@@ -427,6 +426,14 @@ def acceptance_failures(m) -> list:
             or max(vals) - min(vals) >= EPS):
         failures.append(("termination", m.r_out, m.stalled, vals))
     return failures
+
+
+def test_guarantee_failures_pass_exact_halving():
+    # Every d6-790 stock run halves its round-2 spread exactly, up to float
+    # rounding (0.15000000000000002 after 0.3), which TOL must allow.
+    results, _ = suite("d6-790")
+    assert {key: guarantee_failures(m) for key, m in results.items()} == (
+        dict.fromkeys(results, []))
 
 
 @pytest.mark.parametrize("graph_key", DIRECTED)

@@ -4,6 +4,7 @@ import gc
 import json
 import math
 import tracemalloc
+from array import array
 from itertools import permutations
 
 import pytest
@@ -402,14 +403,8 @@ def test_finished_run_is_freed_by_reference_counting():
     assert (after_return, after_raise) == (0, 0)
 
 
-def test_path_history_memory_per_entry(monkeypatch):
-    # A node keeps every path it has heard from in every round, so the
-    # history is the run's memory.  Paths are packed ints, and a history
-    # lists its incoming keys, ints the sender shares with its other
-    # receivers, under one (value, mask) record per distinct pair: the
-    # whole run peaks at about 53 B per retained history entry, against
-    # about 91 B with a dict entry per key, about 103 B with a new extended
-    # key per entry and about 220 B with tuple paths and a record per path.
+def record_nodes(monkeypatch) -> list:
+    """Every Node built from now on, in build order."""
     nodes = []
     init = Node.__init__
 
@@ -418,6 +413,19 @@ def test_path_history_memory_per_entry(monkeypatch):
         nodes.append(self)
 
     monkeypatch.setattr(Node, "__init__", recording_init)
+    return nodes
+
+
+def test_path_history_memory_per_entry(monkeypatch):
+    # A node keeps every path it has heard from in every round, so the
+    # history is the run's memory.  Paths are packed ints, and a history
+    # lists its incoming keys in 64-bit array slots under one (value, mask)
+    # record per distinct pair: the whole run peaks at about 31-34 B per
+    # retained history entry, against about 53 B with a list of the int
+    # objects the senders share, about 91 B with a dict entry per key,
+    # about 103 B with a new extended key per entry and about 220 B with
+    # tuple paths and a record per path.
+    nodes = record_nodes(monkeypatch)
     g = clique(6)
     tracemalloc.start()
     try:
@@ -429,7 +437,27 @@ def test_path_history_memory_per_entry(monkeypatch):
     entries = sum(len(first_records(rs)) for node in nodes
                   for rs in node.rounds.values())
     assert entries == 3 * 5 * 3201  # rounds x honest nodes x K5 paths
-    assert peak / entries <= 60
+    assert peak / entries <= 40
+
+
+@pytest.mark.parametrize("n,deliveries,key_list,key_bits", [
+    (8, 504, array, 56), (9, 648, array, 64), (10, 810, list, 72)])
+def test_directed_cycle_keys_fit_their_history(monkeypatch, n, deliveries,
+                                              key_list, key_bits):
+    # The longest redundant path of a directed n-cycle has 2n - 1 nodes, so
+    # a history records incoming keys of 2n - 2 digits: 64 bits at n = 9,
+    # all a 64-bit array slot holds, and 72 bits at n = 10, which only the
+    # list fallback holds.
+    nodes = record_nodes(monkeypatch)
+    g = DiGraph(n, frozenset((v, (v + 1) % n) for v in range(n)))
+    m = run(g, [i / (n - 1) for i in range(n)], 0, make_plan("none", {}),
+            UniformDelay(seed=1), 1.0, 0.25)
+    assert m.deliveries == deliveries
+    assert m.outputs == dict.fromkeys(range(n), 0.5)
+    histories = [keys for node in nodes for rs in node.rounds.values()
+                 for keys in rs.recs.values()]
+    assert {type(keys) for keys in histories} == {key_list}
+    assert max(p.bit_length() for keys in histories for p in keys) == key_bits
 
 
 @pytest.mark.parametrize("n,f,plan", [(4, 1, "equivocator"), (4, 1, "forge"),
