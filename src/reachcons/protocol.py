@@ -14,23 +14,24 @@ over MessageSet used for unit-level cross-checks.
 A path of either message kind travels and is stored as one int, its key
 (`path_key`): one digit of `n.bit_length()` bits per hop, node v written as
 v + 1, first node most significant.  Extending a path is a shift and an or,
-the key is its own canonical id, and a node's VALUE history for a round
-maps each distinct (value, node mask) record to the keys first heard with
-it.  A history holds the incoming key p, the one the wire brought, rather
-than its extension q = p << bits | (me + 1): at one receiver the two map
-one to one, and p is one digit shorter.  A recorded p has at most 2n - 2
-digits, so up to n = 9 it fits a 64-bit slot of an `array('Q')` and an
-entry costs 8 bytes and no int object; from n = 10 on the keys are listed
-in a plain list.  A wire's
-sender is its key's last hop (honest wires are built so, and
-`adversary.PlanRuntime.intercept` refuses any faulty emission that is not),
-so queued wires carry no sender.  An honest node starts each round once and
-forwards a key only when it first records it, so by induction on path
-length a key whose last hop is honest reaches a receiver at most once per
-round: only keys relayed by a faulty node can repeat, and only they are
-looked up in the round's `relayed` map.  Both kinds carry the key's walk
-state, which `intercept` sets on every faulty emission, so receivers check
-nothing but the phase.
+and the key is its own canonical id.  A node's VALUE history for a round is
+one map, from each (initiator, value) pair to its node masks and from each
+mask to the keys heard with them; filter-and-average and the completeness
+check read nothing else.  A history holds the incoming key p, the one the
+wire brought, rather than its extension q = p << bits | (me + 1): at one
+receiver the two map one to one, and p is one digit shorter.  A recorded p
+has at most 2n - 2 digits, so up to n = 9 it fits a 64-bit slot of an
+`array('Q')` and an entry costs 8 bytes and no int object; from n = 10 on
+the keys are listed in a plain list.  A wire's sender is its key's last hop
+(honest wires are built so, and `adversary.PlanRuntime.intercept` refuses
+any faulty emission that is not), so queued wires carry no sender.  An
+honest node starts each round once and forwards a key only when it first
+records it, so by induction on path length a key whose last hop is honest
+reaches a receiver at most once per round: only keys relayed by a faulty
+node can repeat, and only they are looked up in the round's `relayed` map.
+A repeat carrying a new value is listed under that value too.  Both kinds
+carry the key's walk state, which `intercept` sets on every faulty
+emission, so receivers check nothing but the phase.
 """
 
 from __future__ import annotations
@@ -165,30 +166,25 @@ class RoundState:
     """A node's message history and threads for one round, kept alive so
     past-round traffic is still recorded and forwarded after advancing."""
 
-    __slots__ = ("r", "recs", "relayed", "extras", "by_init_value",
-                 "threads", "nextround", "comp_paths", "watched",
-                 "qual_threads", "dirty", "fa_record", "latch_values",
+    __slots__ = ("r", "recs", "relayed", "threads", "comp_paths",
+                 "watched", "dirty", "fa_record", "latch_values",
                  "comp_cache", "clause_true")
 
     def __init__(self, r, threads):
         self.r = r
         # The history holds incoming keys p; the path itself is p extended
-        # by this node, and the own value's is p = 0.  Each key is listed
-        # once, under the record it was first heard with, in an array of
-        # 64-bit slots, or a list where keys can be longer (Node._key_list).
-        self.recs = {}  # (value, node mask) -> keys p
+        # by this node, and the own value's is p = 0.  A key is listed once
+        # per value heard on it, in an array of 64-bit slots, or a list
+        # where keys can be longer (Node._key_list).
+        self.recs = {}  # (init, value) -> {node mask: keys p}
         # Only a key whose last hop is faulty can arrive twice, so only such
         # keys are entered here.
-        self.relayed = {}  # p -> (first value received on it, node mask)
-        self.extras = set()  # duplicate-path (value, p) pairs
-        self.by_init_value = {}  # (init, value) -> set of path masks
+        self.relayed = {}  # p -> set of values heard on it
         self.threads = threads
-        self.nextround = False
         self.comp_paths = {}  # (init, counter, payload) -> set of p keys
         self.watched = set()  # (init, value) pairs blocking some verify
-        self.qual_threads = set()
         self.dirty = set()
-        self.fa_record: Optional[FARecord] = None
+        self.fa_record: Optional[FARecord] = None  # set once it advances
         self.latch_values = {}  # fvset -> PayloadView
         self.comp_cache = {}  # payload -> True / False (permanent only)
         self.clause_true = set()  # (source mask, q, value)
@@ -273,7 +269,7 @@ class Node:
         # A sweep can advance and start the next round; that round sweeps
         # itself in start_round, so iterate over a snapshot.
         for rstate in list(self.rounds.values()):
-            if not rstate.nextround:
+            if rstate.fa_record is None:
                 rstate.dirty.update(range(len(rstate.threads)))
                 self._sweep(rstate)
 
@@ -317,7 +313,7 @@ class Node:
             self._receive_value(rstate, msg)
         else:
             self._receive_complete(rstate, msg)
-        if rstate.dirty and not rstate.nextround:
+        if rstate.dirty and rstate.fa_record is None:
             self._sweep(rstate)
 
     # -- value recording ---------------------------------------------------
@@ -344,21 +340,29 @@ class Node:
         q = p << bits | (me + 1)
         qmask = m1 | m2
         init = (q >> bits * ((q.bit_length() - 1) // bits)) - 1  # path_init
-        rec = (x, qmask)
+        repeat = False
         if (p & self._hop) in self._relay_digits:
-            prior = rstate.relayed.get(p)
-            if prior is not None:
-                if prior[0] == x or (x, p) in rstate.extras:
-                    return
-                rstate.extras.add((x, p))
-                self._mark_value(rstate, init, x, qmask)
+            heard = rstate.relayed.get(p)
+            if heard is None:
+                rstate.relayed[p] = {x}
+            elif x in heard:
                 return
-            rstate.relayed[p] = rec
-        keys = rstate.recs.get(rec)
+            else:
+                # Listed under its new value, but forwarded and counted
+                # against the threads only on its first arrival.
+                heard.add(x)
+                repeat = True
+        masks = rstate.recs.get((init, x))
+        if masks is None:
+            masks = rstate.recs[init, x] = {}
+        keys = masks.get(qmask)
         if keys is None:
-            rstate.recs[rec] = self._key_list((p,))
+            masks[qmask] = self._key_list((p,))
+            self._mark_value(rstate, init, x, qmask)
         else:
             keys.append(p)
+        if repeat:
+            return
         if phase == 1:
             dests = self.out_list
         else:
@@ -367,9 +371,6 @@ class Node:
                 dests = self._fwd2[m2] = [w for w in self.out_list
                                           if not m2 >> w & 1]
         self._flood(me, dests, (VAL_T, r, x, q, phase, m1, m2))
-        bucket = rstate.by_init_value.get((init, x))
-        if bucket is None or qmask not in bucket:
-            self._mark_value(rstate, init, x, qmask)
         self._latch_scan(rstate, qmask)
 
     def _latch_scan(self, rstate, qmask):
@@ -386,17 +387,12 @@ class Node:
                 self._latch(rstate, t)
 
     def _mark_value(self, rstate, init, x, qmask):
-        key = (init, x)
-        bucket = rstate.by_init_value.get(key)
-        if bucket is None:
-            bucket = rstate.by_init_value[key] = set()
-        if qmask in bucket:
-            return
-        bucket.add(qmask)
-        if key in rstate.watched:
-            rstate.dirty.update(rstate.qual_threads)
-        # A thread already marked with (init, x) sees no change here.
+        """Note a new (init, x, node mask) record: it may change a watched
+        completeness verdict, and it marks the threads it avoids."""
         threads = rstate.threads
+        if (init, x) in rstate.watched:
+            rstate.dirty.update(t.idx for t in threads if t.qual)
+        # A thread already marked with (init, x) sees no change here.
         for ti in self._avoid_threads(qmask):
             t = threads[ti]
             prior = t.vals.get(init)
@@ -447,7 +443,6 @@ class Node:
                 continue
             if key not in t.qual:
                 t.qual.add(key)
-                rstate.qual_threads.add(t.idx)
                 rstate.dirty.add(t.idx)
             if payload.claimed_mask == t.fvmask:
                 c = t.fra_counts.get(key, 0) + 1
@@ -460,7 +455,7 @@ class Node:
     # -- verification and advancement ---------------------------------------
 
     def _sweep(self, rstate):
-        if rstate.nextround or not rstate.dirty:
+        if rstate.fa_record is not None or not rstate.dirty:
             return
         order = sorted(rstate.dirty)
         rstate.dirty.clear()
@@ -498,7 +493,7 @@ class Node:
         full = g.full_mask
         fumask = payload.claimed_mask
         clause_true = rstate.clause_true
-        by_iv = rstate.by_init_value
+        recs = rstate.recs
         for fwmask in self.world.all_candidate_masks:
             if fwmask == fumask:
                 continue
@@ -515,7 +510,7 @@ class Node:
                         return False
                     ck = (smask, q, val)
                     if ck not in clause_true:
-                        masks = by_iv.get((q, val))
+                        masks = recs.get((q, val))
                         if not masks:
                             rstate.watched.add((q, val))
                             return False
@@ -535,9 +530,7 @@ class Node:
         return True
 
     def _advance(self, rstate, t: Thread):
-        xn, record = self._filter_and_average(rstate, t)
-        rstate.nextround = True
-        rstate.fa_record = record
+        xn, rstate.fa_record = self._filter_and_average(rstate, t)
         assert len(self.x) == rstate.r + 1
         self.x.append(xn)
         if rstate.r + 1 >= self.world.r_out:
@@ -551,18 +544,14 @@ class Node:
     def _filter_and_average(self, rstate, t: Thread):
         # Bucket the history by value as (node mask, keys) pairs, one per
         # record; within a bucket keys are unique, so only the two boundary
-        # buckets ever need path order.  A duplicate-path key was relayed
-        # by a faulty node, and its first record gives its node mask.
+        # buckets ever need path order.
         groups: dict = {}  # value -> [(node mask, keys)]
-        for (v, m), keys in rstate.recs.items():
-            groups.setdefault(v, []).append((m, keys))
-        for v, p in rstate.extras:
-            groups.setdefault(v, []).append((rstate.relayed[p][1], (p,)))
+        init_values: dict = {}  # initiator -> its values
+        for (init, v), masks in rstate.recs.items():
+            groups.setdefault(v, []).extend(masks.items())
+            init_values.setdefault(init, set()).add(v)
         if not groups:
             raise ProtocolIntegrityError("empty message history at advance")
-        init_values: dict = {}  # initiator -> its values
-        for init, v in rstate.by_init_value:
-            init_values.setdefault(init, set()).add(v)
         vals = sorted(groups)
         group_masks = [frozenset(m for m, _ in groups[v]) for v in vals]
         cands = self._fa_cands
@@ -605,8 +594,7 @@ class Node:
         inner = set(vals[glo + 1:ghi])
         survivors = {(v, (a >> top) - 1) for v, items in kept
                      for a, _ in items}
-        survivors.update((v, init) for init, v in rstate.by_init_value
-                         if v in inner)
+        survivors.update((v, init) for init, v in rstate.recs if v in inner)
         sizes = [sum(len(keys) for _, keys in groups[v]) for v in vals]
         return (lo_val + hi_val) / 2.0, FARecord(
             fv=t.fvset, total=sum(sizes),

@@ -371,10 +371,12 @@ def admit(g: DiGraph, inputs: list, f: int, K: float, eps: float,
         raise InvalidArgumentError(
             f"f must be an integer with 0 <= f < n = {g.n}, got {f!r}")
     # Comparisons with NaN are false, so these range tests reject NaN too.
+    # A finite K / eps keeps the output round a finite integer.
     if not (_is_real(K) and _is_real(eps) and math.isfinite(K)
-            and 0 < eps <= K):
+            and 0 < eps <= K and math.isfinite(K / eps)):
         raise InvalidArgumentError(
-            f"require finite K >= eps > 0, got K={K!r}, eps={eps!r}")
+            f"require finite K >= eps > 0 and K / eps, got K={K!r}, "
+            f"eps={eps!r}")
     if not all(_is_real(x) and 0 <= x <= K for x in inputs):
         raise InvalidArgumentError(f"inputs must lie within [0, {K}]")
     for name in ("max_n", "max_threads", "max_deliveries"):

@@ -466,7 +466,7 @@ def test_directed_latches_match_their_histories(monkeypatch, graph_key):
 def test_directed_runs_repeat_only_faulty_relays(monkeypatch, graph_key):
     tally = install_history_check(monkeypatch)
     stock_runs(graph_key, delay_policies)
-    assert len(tally["extras"]) == 25
+    assert len(tally["repeats"]) == 25
     assert tally["faults"] == []
 
 

@@ -451,9 +451,11 @@ def test_config_rejects_unknown_and_missing_keys():
     '{"graph": "builtin:k4", "f": 1, "inputs": [0, 1, 1, 0], "eps": NaN}',
     '{"graph": "builtin:k4", "f": 1, "inputs": [0, 1, 1, 0], '
     '"K": Infinity}',
+    '{"graph": "builtin:k4", "f": 1, "inputs": [0, 1, 1, 0], '
+    '"K": 1e308, "eps": 1e-308}',
     '{"graph": "builtin:k4", "f": 4, "inputs": [0, 1, 1, 0]}',
     '{"graph": "builtin:k4", "f": 1, "inputs": [0, NaN, 1, 0]}',
-], ids=["nan-eps", "inf-K", "f-is-n", "nan-input"])
+], ids=["nan-eps", "inf-K", "inf-K-over-eps", "f-is-n", "nan-input"])
 def test_run_rejects_non_finite_numbers_and_f_at_least_n(tmp_path, capsys,
                                                         text):
     cpath = tmp_path / "scenario.json"

@@ -81,6 +81,59 @@ def test_k_reach_monotone_in_k(n, code):
     assert holds[2] <= holds[1] <= holds[0]
 
 
+CHECKERS = ("1", "2", "3", "ccs", "cca", "bcs")  # k-reach by k, partitions
+
+
+def _verdicts(g, f, which):
+    """The verdicts of the checkers named in which, in that order."""
+    return [check_k_reach(g, f, int(w)).holds if w in "123"
+            else check_partition_condition(g, f, w).holds for w in which]
+
+
+def _monotonicity_breaks(g, f) -> list:
+    """(checker, added edge) for each checker that g passes and that g with
+    one more edge fails."""
+    checkers = [w for w, holds in zip(CHECKERS, _verdicts(g, f, CHECKERS))
+                if holds]
+    breaks = []
+    for e in permutations(range(g.n), 2):
+        if checkers and e not in g.edges:
+            bigger = DiGraph(g.n, g.edges | {e})
+            breaks += [(w, e) for w, holds in
+                       zip(checkers, _verdicts(bigger, f, checkers))
+                       if not holds]
+    return breaks
+
+
+def test_conditions_are_monotone_in_the_edges_exhaustive_n3():
+    # More edges only grow reach sets and in-neighbourhoods, so adding an
+    # edge keeps every condition that held.
+    for n in range(1, 4):
+        for g in all_digraphs(n):
+            for f in (0, 1, 2):
+                assert _monotonicity_breaks(g, f) == [], (g.edges, f)
+
+
+def test_conditions_are_monotone_in_the_edges_seeded_n4_to_n6():
+    # Seeded graphs, each followed by a greedy descent that drops edges
+    # while the strongest k-reach it passes still holds, ending on a minimal
+    # graph for it: graphs near each condition's boundary are checked too.
+    rng = random.Random(11)
+    descents = dict.fromkeys(range(4), 0)  # by k, and 0 for none
+    for i in range(60):
+        n, f = 4 + i % 3, 1 + i % 2
+        g = random_digraph(n, rng.uniform(0.5, 1.0), rng.randrange(2 ** 31))
+        k = next((k for k in (3, 2, 1) if check_k_reach(g, f, k).holds), 0)
+        descents[k] += 1
+        while g is not None:
+            assert _monotonicity_breaks(g, f) == [], (g.edges, f)
+            smaller = (DiGraph(n, g.edges - {e})
+                       for e in rng.sample(sorted(g.edges), len(g.edges)))
+            g = next((h for h in smaller
+                      if k and check_k_reach(h, f, k).holds), None)
+    assert min(descents[k] for k in (1, 2, 3)) >= 10, descents
+
+
 # ---------------------------------------------------------------------------
 # Point condition and partitions
 

@@ -16,7 +16,7 @@ from reachcons import (DiGraph, Equivocate, ProtocolIntegrityError,
                        builtin_plans, enumerate_redundant_paths, make_plan,
                        message_set, run)
 from reachcons.adversary import Crash
-from reachcons.graph import has_f_cover, mask_of, set_of, subset_masks
+from reachcons.graph import has_f_cover, set_of, subset_masks
 from reachcons.protocol import (Node, PayloadView, candidate_sets,
                                 completeness, filter_and_average, path_init,
                                 path_key, path_last, path_of, path_order)
@@ -201,10 +201,12 @@ def test_outputs_equal_midpoint_of_final_record():
 # Latch timing
 
 
-def first_records(rstate) -> dict:
-    """A round's VALUE history as {p: (value, node mask)}: each key of
-    rstate.recs mapped to the record it was first heard with."""
-    return {p: rec for rec, keys in rstate.recs.items() for p in keys}
+def listings(rstate) -> list:
+    """A round's VALUE history as (value, key p, node mask) triples, one
+    per listing in rstate.recs: a key that a faulty node repeats with new
+    values is listed under each of them."""
+    return [(x, p, m) for (_, x), masks in rstate.recs.items()
+            for m, keys in masks.items() for p in keys]
 
 
 def install_latch_check(monkeypatch) -> dict:
@@ -225,14 +227,12 @@ def install_latch_check(monkeypatch) -> dict:
         def q(p):
             return p << n.bit_length() | (self.me + 1)
 
-        first = first_records(rstate)
-        keys = {q(p) for p, (_, m) in first.items() if not m & t.fvmask}
+        avoiding = [(x, p) for x, p, m in listings(rstate)
+                    if not m & t.fvmask]
+        keys = {q(p) for _, p in avoiding}
         want = {path_key(p.nodes, n) for p in
                 enumerate_redundant_paths(self.g, t.fvset, self.me)}
-        history = {(path_init(q(p), n), x) for p, (x, m) in first.items()
-                   if not m & t.fvmask}
-        history |= {(path_init(q(p), n), x) for x, p in rstate.extras
-                    if not mask_of(path_of(q(p), n)) & t.fvmask}
+        history = {(path_init(q(p), n), x) for x, p in avoiding}
         tally["latches"] += 1
         if (keys != want or len(keys) != t.universe_total
                 or not t.consistent or set(t.vals.items()) != history):
@@ -314,9 +314,8 @@ def test_untrimmed_midpoint_is_caught_by_one_sided_liars(monkeypatch, plan,
     # the adopted values can tell that trimming is gone.
     def untrimmed_advance(self, rstate, t):
         _, record = self._filter_and_average(rstate, t)
-        vals = [x for x, _ in rstate.recs] + [x for x, _ in rstate.extras]
+        vals = [x for _, x in rstate.recs]
         xn = (min(vals) + max(vals)) / 2.0
-        rstate.nextround = True
         rstate.fa_record = record
         self.x.append(xn)
         if rstate.r + 1 >= self.world.r_out:
@@ -334,16 +333,12 @@ def test_untrimmed_midpoint_is_caught_by_one_sided_liars(monkeypatch, plan,
 
 
 def history_of(node, rstate) -> list:
-    """A round's VALUE history as sorted (value, path) pairs: each key p of
-    first_records and of extras extended by the node to its path q."""
+    """A round's VALUE history as sorted (value, path) pairs: each listed
+    key p extended by the node to its path q."""
     n, me = node.g.n, node.me
     bits = n.bit_length()
-
-    def path(p):
-        return path_of(p << bits | (me + 1), n)
-
-    return sorted([(x, path(p)) for p, (x, _) in first_records(rstate).items()]
-                  + [(x, path(p)) for x, p in rstate.extras])
+    return sorted((x, path_of(p << bits | (me + 1), n))
+                  for x, p, _ in listings(rstate))
 
 
 def longest_covered(paths, universe, f) -> int:
@@ -359,6 +354,20 @@ def longest_covered(paths, universe, f) -> int:
     return lo
 
 
+def message_set_cache():
+    """A function (node, rstate) -> the MessageSet of the round's history,
+    built once per (rstate, history size)."""
+    sets = {}
+
+    def message_set_of(node, rstate):
+        key = (rstate, len(listings(rstate)))
+        if key not in sets:
+            sets[key] = message_set(history_of(node, rstate))
+        return sets[key]
+
+    return message_set_of
+
+
 def install_oracle(monkeypatch) -> dict:
     """Wrap Node._advance and Node._completeness (whatever they are when
     called) so that each advance and each completeness verdict is checked
@@ -366,13 +375,7 @@ def install_oracle(monkeypatch) -> dict:
     the tallies, with every mismatch under "mismatches"."""
     advance, complete = Node._advance, Node._completeness
     tally = {"advances": 0, "verdicts": 0, "false": 0, "mismatches": []}
-    sets = {}  # (rstate, history size) -> its MessageSet
-
-    def message_set_of(node, rstate):
-        key = (rstate, len(first_records(rstate)), len(rstate.extras))
-        if key not in sets:
-            sets[key] = message_set(history_of(node, rstate))
-        return sets[key]
+    message_set_of = message_set_cache()
 
     def checked_advance(self, rstate, t):
         history = history_of(self, rstate)
@@ -423,6 +426,31 @@ def run_oracle_case(kind, plan, di):
     return run_one_sided(plan, di)
 
 
+def install_latch_reference(monkeypatch) -> dict:
+    """Wrap Node._latch so that each latch is checked against the paper's
+    latch condition, stated on MessageSet: the thread's excluded history
+    M.exclude(F_v) is full for F_v and consistent, and the thread's values
+    are the values it carries.  Returns the tallies, with every mismatch
+    under "mismatches"."""
+    latch = Node._latch
+    tally = {"latches": 0, "mismatches": []}
+    message_set_of = message_set_cache()
+
+    def checked_latch(self, rstate, t):
+        M = message_set_of(self, rstate).exclude(t.fvset)
+        full = M.is_full_for(t.fvset, self.me, self.g)
+        consistent = M.is_consistent()
+        tally["latches"] += 1
+        if not (full and consistent and t.vals == {
+                q: M.value_of(q) for q in M.initiators()}):
+            tally["mismatches"].append(
+                (self.me, rstate.r, sorted(t.fvset), full, consistent))
+        latch(self, rstate, t)
+
+    monkeypatch.setattr(Node, "_latch", checked_latch)
+    return tally
+
+
 @pytest.mark.parametrize("kind,plan,di", ORACLE_CASES)
 def test_engine_matches_the_reference_at_every_advance(monkeypatch, kind,
                                                        plan, di):
@@ -431,6 +459,14 @@ def test_engine_matches_the_reference_at_every_advance(monkeypatch, kind,
     assert tally["mismatches"] == []
     assert tally["advances"] >= len(m.honest) * m.r_out
     assert tally["verdicts"]
+
+
+def test_latches_meet_the_reference_latch_condition(monkeypatch):
+    tally = install_latch_reference(monkeypatch)
+    for case in ORACLE_CASES:
+        run_oracle_case(*case)
+    assert tally["latches"]
+    assert tally["mismatches"] == []
 
 
 TRIM_SCAN, NODE_INIT = Node._trim_scan, Node.__init__
@@ -460,9 +496,19 @@ def latch_early_scan(self, rstate, qmask):
             self._latch(rstate, t)
 
 
+def no_witness_verify(self, rstate, t):
+    # A thread advances without the witness part: no initiator in its
+    # reach need have fully announced the thread's fault set.
+    for init, k, payload in t.qual:
+        if (self.frontier.get(init, 0) >= k - 1
+                and not self._completeness(rstate, payload)):
+            return False
+    return True
+
+
 ZERO_CUT = staticmethod(lambda items, alive: 0)
 
-# Mutants of the code the oracle guards, each as (the check that catches
+# Mutants of the code the oracle guards, each as (the checks that catch
 # it, the Node attributes it replaces).  The within-bucket cuts set only
 # the record's trims and survivors, never the adopted value, and on these
 # runs a forced completeness verdict breaks no guarantee, so only the
@@ -471,30 +517,36 @@ ZERO_CUT = staticmethod(lambda items, alive: 0)
 # zeroes the suffix cut: with every candidate alive, one may cover the whole
 # top group, and the cut's min() of no uncovered path is a crash, not a
 # catch.  A thread that latches early changes no advance the oracle sees,
-# so the latch check catches it.
+# so the two latch checks catch it.  A thread that advances without witnesses
+# averages a partial history exactly as the reference would, so the oracle
+# sees no mismatch; the guarantees on the adopted values catch it.
 MUTANTS = {
-    "prefix-cut-0": ("oracle", {"_prefix_cut": ZERO_CUT}),
-    "suffix-cut-0": ("oracle", {"_suffix_cut": ZERO_CUT}),
-    "completeness-true": ("oracle", {
+    "prefix-cut-0": (("oracle",), {"_prefix_cut": ZERO_CUT}),
+    "suffix-cut-0": (("oracle",), {"_suffix_cut": ZERO_CUT}),
+    "completeness-true": (("oracle",), {
         "_completeness": lambda self, rstate, payload: True}),
-    "high-trim-skipped": ("oracle", {
+    "high-trim-skipped": (("oracle",), {
         "_trim_scan": staticmethod(high_trim_skipped_scan),
         "_suffix_cut": ZERO_CUT}),
-    "over-trim": ("oracle", {"__init__": over_trim_init}),
-    "latch-early": ("latch", {"_latch_scan": latch_early_scan}),
+    "over-trim": (("oracle",), {"__init__": over_trim_init}),
+    "latch-early": (("latch", "latch-reference"),
+                    {"_latch_scan": latch_early_scan}),
+    "no-witness": (("guarantees",), {"_verify": no_witness_verify}),
 }
+CHECKS = {"oracle": install_oracle, "latch": install_latch_check,
+          "latch-reference": install_latch_reference}
 
 
 @pytest.mark.parametrize("mutant", sorted(MUTANTS))
 def test_oracle_catches_each_mutant(monkeypatch, mutant):
-    check, patches = MUTANTS[mutant]
+    checks, patches = MUTANTS[mutant]
     for name, value in patches.items():
         monkeypatch.setattr(Node, name, value)
-    install = install_oracle if check == "oracle" else install_latch_check
-    tally = install(monkeypatch)
-    for case in ORACLE_CASES:
-        run_oracle_case(*case)
-    assert tally["mismatches"]
+    tallies = {c: CHECKS[c](monkeypatch) for c in checks if c in CHECKS}
+    results = [run_oracle_case(*case) for case in ORACLE_CASES]
+    caught = {c: bool(t["mismatches"]) for c, t in tallies.items()}
+    caught["guarantees"] = any(map(guarantee_failures, results))
+    assert all(caught[c] for c in checks), caught
 
 
 # ---------------------------------------------------------------------------
@@ -503,27 +555,39 @@ def test_oracle_catches_each_mutant(monkeypatch, mutant):
 
 def install_history_check(monkeypatch) -> dict:
     """Wrap SimWorld.run_loop so that each run's VALUE histories are
-    checked once its deliveries end: no round lists a key twice in its
-    records, and every key in a round's relayed map has a faulty last hop.
-    Returns the tallies: per run, the keys that landed in extras, and every
-    breach under "faults"."""
+    checked once its deliveries end: no round lists a (value, key) pair
+    twice, every key in a round's relayed map has a faulty last hop, and a
+    key listed more than once is in that map with the values it is listed
+    under.  Returns the tallies: per run, the listings beyond a key's first
+    and the number of relayed keys, and every breach under "faults"."""
     run_loop = SimWorld.run_loop
-    tally = {"extras": [], "faults": []}
+    tally = {"repeats": [], "relayed": [], "faults": []}
 
     def checked_run_loop(self, budget):
         run_loop(self, budget)
         n = self.g.n
-        extras = []
+        repeats, relayed = [], 0
         for node in self.nodes:
             for r, rstate in node.rounds.items():
-                keys = [p for ks in rstate.recs.values() for p in ks]
-                if len(keys) != len(set(keys)):
-                    tally["faults"].append((node.me, r, "repeated key"))
+                heard = {}  # p -> values it is listed under
+                again = []
+                for x, p, _ in listings(rstate):
+                    if p in heard:
+                        again.append(p)
+                        if x in heard[p]:
+                            tally["faults"].append(
+                                (node.me, r, "listed twice", x, p))
+                    heard.setdefault(p, set()).add(x)
                 tally["faults"] += [(node.me, r, "honest relay", p)
                                     for p in rstate.relayed
                                     if path_last(p, n) not in self._faulty]
-                extras += [p for _, p in rstate.extras]
-        tally["extras"].append(extras)
+                tally["faults"] += [(node.me, r, "unrelayed repeat", p)
+                                    for p in again
+                                    if rstate.relayed.get(p) != heard[p]]
+                repeats += again
+                relayed += len(rstate.relayed)
+        tally["repeats"].append(repeats)
+        tally["relayed"].append(relayed)
 
     monkeypatch.setattr(SimWorld, "run_loop", checked_run_loop)
     return tally
@@ -545,14 +609,14 @@ def run_repro_b(seed):
 
 
 @pytest.mark.parametrize("seed", range(5))
-def test_repeated_faulty_relays_land_in_extras(monkeypatch, seed):
+def test_listings_beyond_a_keys_first_are_faulty_relays(monkeypatch, seed):
     forge_prefixes(monkeypatch, forged_keys(K4, 3, "B"))
     tally = install_history_check(monkeypatch)
     run_repro_b(seed)
     assert tally["faults"] == []
-    [extras] = tally["extras"]
-    assert len(extras) == [42, 49, 42, 42, 42][seed]
-    assert {path_last(p, 4) for p in extras} == {3}
+    [repeats] = tally["repeats"]
+    assert len(repeats) == [42, 49, 42, 42, 42][seed]
+    assert {path_last(p, 4) for p in repeats} == {3}
 
 
 def relay_blind_init(self, world, me, x0):
@@ -567,5 +631,5 @@ def test_receivers_that_skip_the_relay_lookup_are_caught(monkeypatch):
     tally = install_history_check(monkeypatch)
     for seed in range(5):
         run_repro_b(seed)
-    assert tally["extras"] == [[]] * 5
+    assert tally["relayed"] == [0] * 5
     assert tally["faults"]

@@ -22,7 +22,7 @@ from reachcons.protocol import (COMP_T, VAL_T, Node, PayloadView, path_key,
                                 path_of)
 from reachcons.simnet import SimWorld, rounds_to_output, thread_count
 from test_golden import K4_INPUTS, K4_PINS, K7_INPUTS, delay_policy
-from test_protocol import first_records
+from test_protocol import listings
 
 
 def clique(n):
@@ -153,12 +153,14 @@ NAN, INF = float("nan"), float("inf")
     (INPUTS4, 1, 1.0, NAN),
     (INPUTS4, 1, INF, 0.25),
     (INPUTS4, 1, NAN, 0.25),
+    # K / eps overflowed to inf, and rounds_to_output raised OverflowError.
+    (INPUTS4, 1, 1e308, 1e-308),
     # f >= n used to run and output values.
     (INPUTS4, 4, 1.0, 0.25),
     (INPUTS4, 5, 1.0, 0.25),
     (INPUTS4, -1, 1.0, 0.25),
-], ids=["nan-input", "nan-eps", "inf-K", "nan-K", "f-is-n", "f-above-n",
-        "f-negative"])
+], ids=["nan-input", "nan-eps", "inf-K", "nan-K", "inf-K-over-eps", "f-is-n",
+        "f-above-n", "f-negative"])
 def test_run_rejects_non_finite_numbers_and_f_outside_range(inputs, f, K,
                                                             eps):
     with pytest.raises(InvalidArgumentError):
@@ -419,8 +421,8 @@ def record_nodes(monkeypatch) -> list:
 def test_path_history_memory_per_entry(monkeypatch):
     # A node keeps every path it has heard from in every round, so the
     # history is the run's memory.  Paths are packed ints, and a history
-    # lists its incoming keys in 64-bit array slots under one (value, mask)
-    # record per distinct pair: the whole run peaks at about 31-34 B per
+    # lists its incoming keys in 64-bit array slots under one (initiator,
+    # value, node mask) record each: the whole run peaks at about 31-34 B per
     # retained history entry, against about 53 B with a list of the int
     # objects the senders share, about 91 B with a dict entry per key,
     # about 103 B with a new extended key per entry and about 220 B with
@@ -434,7 +436,7 @@ def test_path_history_memory_per_entry(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    entries = sum(len(first_records(rs)) for node in nodes
+    entries = sum(len(listings(rs)) for node in nodes
                   for rs in node.rounds.values())
     assert entries == 3 * 5 * 3201  # rounds x honest nodes x K5 paths
     assert peak / entries <= 40
@@ -455,7 +457,7 @@ def test_directed_cycle_keys_fit_their_history(monkeypatch, n, deliveries,
     assert m.deliveries == deliveries
     assert m.outputs == dict.fromkeys(range(n), 0.5)
     histories = [keys for node in nodes for rs in node.rounds.values()
-                 for keys in rs.recs.values()]
+                 for masks in rs.recs.values() for keys in masks.values()]
     assert {type(keys) for keys in histories} == {key_list}
     assert max(p.bit_length() for keys in histories for p in keys) == key_bits
 
